@@ -31,28 +31,6 @@
 namespace tdmd::bench {
 namespace {
 
-/// Translates positional departures into ids and removes them from
-/// `active` in one compaction pass.  The naive per-departure erase is
-/// O(active) each — enough unattributed bench-side CPU to distort the
-/// attributed-fraction measurement this bench exists to take.
-template <typename Id>
-std::vector<Id> TakeDepartures(std::vector<Id>& active,
-                               const std::vector<std::size_t>& positions) {
-  std::vector<Id> departing;
-  departing.reserve(positions.size());
-  std::vector<bool> leaving(active.size(), false);
-  for (std::size_t position : positions) {
-    departing.push_back(active[position]);
-    leaving[position] = true;
-  }
-  std::size_t kept = 0;
-  for (std::size_t i = 0; i < active.size(); ++i) {
-    if (!leaving[i]) active[kept++] = active[i];
-  }
-  active.resize(kept);
-  return departing;
-}
-
 /// Fraction of delivered samples whose stack names at least one phase.
 double AttributedFraction(const obs::ProfDrainResult& drained) {
   std::uint64_t attributed = 0;
@@ -95,15 +73,15 @@ ProfiledEngineRun RunEngine(const ChurnWorkload& w, std::size_t k,
   const std::uint64_t start_ns = obs::MonotonicNanos();
   for (std::size_t r = 0; r < repeats; ++r) {
     engine::Engine eng(w.network, options);
-    std::vector<engine::FlowTicket> active =
+    std::vector<engine::FlowTicket> tickets =
         eng.SubmitBatch(w.prefill, {}).tickets;
     for (const engine::ChurnEpoch& epoch : w.trace.epochs) {
       const std::vector<engine::FlowTicket> departing =
-          TakeDepartures(active, epoch.departures);
+          engine::DepartingIds(epoch, tickets);
       const engine::Engine::BatchResult batch =
           eng.SubmitBatch(epoch.arrivals, departing);
-      active.insert(active.end(), batch.tickets.begin(),
-                    batch.tickets.end());
+      tickets.insert(tickets.end(), batch.tickets.begin(),
+                     batch.tickets.end());
     }
     run.memory = eng.MemoryUsage();
   }
@@ -144,16 +122,15 @@ ProfiledFleetRun RunFleet(const ShardWorkload& w, std::size_t shards,
     // Scoped so the workers are joined before the profiler uninstalls —
     // the rings must outlive every registered thread's last span.
     shard::ShardedEngine fleet(w.network, options);
-    std::vector<shard::FlowId64> active =
+    std::vector<shard::FlowId64> ids =
         fleet.SubmitBatch(w.prefill, {}).flow_ids;
     fleet.Drain();
-    for (const ShardEpoch& epoch : w.epochs) {
+    for (const engine::ChurnEpoch& epoch : w.epochs) {
       const std::vector<shard::FlowId64> departing =
-          TakeDepartures(active, epoch.departures);
+          engine::DepartingIds(epoch, ids);
       const shard::ShardedEngine::BatchResult batch =
           fleet.SubmitBatch(epoch.arrivals, departing);
-      active.insert(active.end(), batch.flow_ids.begin(),
-                    batch.flow_ids.end());
+      ids.insert(ids.end(), batch.flow_ids.begin(), batch.flow_ids.end());
     }
     fleet.Drain();
     run.memory = fleet.MemoryUsage();

@@ -34,25 +34,18 @@ double ReplayMs(const ChurnWorkload& w,
                 const engine::EngineOptions& options,
                 obs::QualityTimelineSnapshot* timeline) {
   engine::Engine eng(w.network, options);
-  std::vector<engine::FlowTicket> active =
+  std::vector<engine::FlowTicket> tickets =
       eng.SubmitBatch(w.prefill, {}).tickets;
   double wall_ms = 0.0;
   for (const engine::ChurnEpoch& epoch : w.trace.epochs) {
-    std::vector<engine::FlowTicket> departing;
-    departing.reserve(epoch.departures.size());
-    for (std::size_t position : epoch.departures) {
-      departing.push_back(active[position]);
-    }
-    for (auto it = epoch.departures.rbegin();
-         it != epoch.departures.rend(); ++it) {
-      active.erase(active.begin() + static_cast<std::ptrdiff_t>(*it));
-    }
+    const std::vector<engine::FlowTicket> departing =
+        engine::DepartingIds(epoch, tickets);
     const std::uint64_t start_ns = obs::MonotonicNanos();
     const engine::Engine::BatchResult batch =
         eng.SubmitBatch(epoch.arrivals, departing);
     wall_ms += static_cast<double>(obs::MonotonicNanos() - start_ns) / 1e6;
-    active.insert(active.end(), batch.tickets.begin(),
-                  batch.tickets.end());
+    tickets.insert(tickets.end(), batch.tickets.begin(),
+                   batch.tickets.end());
   }
   if (timeline != nullptr) *timeline = eng.QualityTimeline();
   return wall_ms;

@@ -140,12 +140,12 @@ ChurnWorkload BuildChurnWorkload(VertexId size, std::size_t flows,
   ChurnWorkload workload;
   workload.network = topology::ExtractGeneralSubgraph(ark, size, rng);
 
-  core::ChurnModel prefill_model;
+  engine::ChurnModel prefill_model;
   prefill_model.arrival_count = flows;
   workload.prefill =
-      core::DrawArrivals(workload.network, prefill_model, rng);
+      engine::DrawArrivals(workload.network, prefill_model, rng);
 
-  core::ChurnModel churn;
+  engine::ChurnModel churn;
   churn.arrival_count =
       std::max<std::size_t>(1, static_cast<std::size_t>(
                                    static_cast<double>(flows) *
@@ -229,25 +229,26 @@ std::vector<int> HubRegions(const graph::Digraph& g,
 }
 
 /// Draws one flow inside region `r`: source sampled from the region,
-/// destination its hub, shortest-hop path.  Rejection-sampled; returns an
+/// destination its hub, shortest-hop path (a source's hub is fixed, so
+/// `paths` memoises one path per source).  Rejection-sampled; returns an
 /// empty-path flow if the region yields nothing connectable.
 traffic::Flow DrawRegionFlow(const graph::Digraph& g,
                              const std::vector<VertexId>& hubs,
                              const std::vector<int>& region, int r,
-                             Rng& rng) {
+                             engine::SourcePathMemo& paths, Rng& rng) {
   for (int attempt = 0; attempt < 256; ++attempt) {
     const auto src = static_cast<VertexId>(
         rng.NextBounded(static_cast<std::uint64_t>(g.num_vertices())));
     if (region[static_cast<std::size_t>(src)] != r) continue;
     const VertexId dst = hubs[static_cast<std::size_t>(r)];
     if (src == dst) continue;
-    auto path = graph::ShortestHopPath(g, src, dst);
-    if (!path.has_value() || path->NumEdges() == 0) continue;
+    const graph::Path& path = paths.Get(src, dst);
+    if (path.NumEdges() == 0) continue;
     traffic::Flow flow;
     flow.src = src;
     flow.dst = dst;
     flow.rate = rng.NextInt(1, 12);
-    flow.path = std::move(*path);
+    flow.path = path;
     return flow;
   }
   return {};
@@ -269,12 +270,13 @@ ShardWorkload BuildShardWorkload(VertexId size, std::size_t flows,
   workload.hubs = FarthestHubs(workload.network, regions);
   const std::vector<int> region =
       HubRegions(workload.network, workload.hubs);
+  engine::SourcePathMemo paths(workload.network);
 
   workload.prefill.reserve(flows);
   for (std::size_t i = 0; i < flows; ++i) {
     const int r = static_cast<int>(rng.NextBounded(regions));
-    traffic::Flow flow =
-        DrawRegionFlow(workload.network, workload.hubs, region, r, rng);
+    traffic::Flow flow = DrawRegionFlow(workload.network, workload.hubs,
+                                        region, r, paths, rng);
     if (flow.path.empty()) continue;
     workload.prefill.push_back(std::move(flow));
   }
@@ -285,33 +287,36 @@ ShardWorkload BuildShardWorkload(VertexId size, std::size_t flows,
   // resolve_churn_fraction = 0.03).
   const double depart_p = 0.16;
   const std::size_t arrive_c = flows / regions * 16 / 100;
-  // Region of each active flow, tracked positionally like the engine
-  // bench traces track tickets.
-  std::vector<int> flow_region;
-  flow_region.reserve(workload.prefill.size());
+  // Arrival ordinal and region of each live flow, in arrival order.
+  struct LiveFlow {
+    std::size_t ordinal;
+    int region;
+  };
+  std::vector<LiveFlow> live;
+  live.reserve(workload.prefill.size());
   for (const traffic::Flow& flow : workload.prefill) {
-    flow_region.push_back(region[static_cast<std::size_t>(flow.src)]);
+    live.push_back({live.size(), region[static_cast<std::size_t>(flow.src)]});
   }
+  std::size_t issued = live.size();
   workload.epochs.reserve(epochs);
   for (std::size_t e = 0; e < epochs; ++e) {
     const int r = static_cast<int>(e % regions);
-    ShardEpoch epoch;
-    for (std::size_t i = 0; i < flow_region.size(); ++i) {
-      if (flow_region[i] == r && rng.NextBool(depart_p)) {
-        epoch.departures.push_back(i);
+    engine::ChurnEpoch epoch;
+    std::size_t kept = 0;
+    for (std::size_t i = 0; i < live.size(); ++i) {
+      if (live[i].region == r && rng.NextBool(depart_p)) {
+        epoch.departures.push_back(live[i].ordinal);
+      } else {
+        live[kept++] = live[i];
       }
     }
-    for (auto it = epoch.departures.rbegin(); it != epoch.departures.rend();
-         ++it) {
-      flow_region.erase(flow_region.begin() +
-                        static_cast<std::ptrdiff_t>(*it));
-    }
+    live.resize(kept);
     for (std::size_t i = 0; i < arrive_c; ++i) {
-      traffic::Flow flow =
-          DrawRegionFlow(workload.network, workload.hubs, region, r, rng);
+      traffic::Flow flow = DrawRegionFlow(workload.network, workload.hubs,
+                                          region, r, paths, rng);
       if (flow.path.empty()) continue;
       epoch.arrivals.push_back(std::move(flow));
-      flow_region.push_back(r);
+      live.push_back({issued++, r});
     }
     workload.epochs.push_back(std::move(epoch));
   }

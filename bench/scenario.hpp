@@ -113,13 +113,6 @@ ChurnWorkload BuildChurnWorkload(VertexId size, std::size_t flows,
                                  std::size_t epochs, double churn_fraction,
                                  std::uint64_t seed);
 
-/// One epoch of the regionalized shard workload: pre-drawn arrivals and
-/// positional departure indices into the caller's active-flow list.
-struct ShardEpoch {
-  traffic::FlowSet arrivals;
-  std::vector<std::size_t> departures;
-};
-
 /// Regionalized churn workload for bench/shard_scaling: `regions`
 /// farthest-point hubs carve the topology into Voronoi regions, every
 /// flow runs from a region vertex to its own hub, and each epoch's churn
@@ -127,11 +120,13 @@ struct ShardEpoch {
 /// sharding targets — locality keeps per-shard ground sets disjoint, so
 /// an N-shard fleet skips the untouched shards each epoch (cross-shard
 /// pinning is exercised by the shard tests, not the scaling bench).
+/// Departures are arrival ordinals, as in engine::ChurnTrace: the prefill
+/// flows are 0..prefill.size()-1, each epoch's arrivals the next ones.
 struct ShardWorkload {
   graph::Digraph network;
   std::vector<VertexId> hubs;
   traffic::FlowSet prefill;
-  std::vector<ShardEpoch> epochs;
+  std::vector<engine::ChurnEpoch> epochs;
 };
 
 ShardWorkload BuildShardWorkload(VertexId size, std::size_t flows,

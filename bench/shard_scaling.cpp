@@ -58,21 +58,14 @@ ShardRunSummary RunFleet(const ShardWorkload& workload, std::size_t shards,
   run.shards = shards;
 
   // Prefill is warm-up: every shard solves its initial region load once.
-  std::vector<shard::FlowId64> active =
+  std::vector<shard::FlowId64> ids =
       fleet.SubmitBatch(workload.prefill, {}).flow_ids;
   fleet.Drain();
 
   std::uint64_t events = 0;
-  for (const ShardEpoch& epoch : workload.epochs) {
-    std::vector<shard::FlowId64> departing;
-    departing.reserve(epoch.departures.size());
-    for (std::size_t position : epoch.departures) {
-      departing.push_back(active[position]);
-    }
-    for (auto it = epoch.departures.rbegin(); it != epoch.departures.rend();
-         ++it) {
-      active.erase(active.begin() + static_cast<std::ptrdiff_t>(*it));
-    }
+  for (const engine::ChurnEpoch& epoch : workload.epochs) {
+    const std::vector<shard::FlowId64> departing =
+        engine::DepartingIds(epoch, ids);
     events += epoch.arrivals.size() + departing.size();
     const std::uint64_t start_ns = obs::MonotonicNanos();
     const shard::ShardedEngine::BatchResult batch =
@@ -81,8 +74,7 @@ ShardRunSummary RunFleet(const ShardWorkload& workload, std::size_t shards,
     const std::uint64_t elapsed_ns = obs::MonotonicNanos() - start_ns;
     run.epoch_latency.Record(elapsed_ns);
     run.wall_ms += static_cast<double>(elapsed_ns) / 1e6;
-    active.insert(active.end(), batch.flow_ids.begin(),
-                  batch.flow_ids.end());
+    ids.insert(ids.end(), batch.flow_ids.begin(), batch.flow_ids.end());
   }
 
   const shard::FleetSnapshot snapshot = fleet.Snapshot();

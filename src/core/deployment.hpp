@@ -71,8 +71,7 @@ struct Allocation {
 Allocation Allocate(const Instance& instance, const Deployment& deployment);
 
 /// Number of vertices differing between two deployments (adds + removes) —
-/// the operational move cost charged by the hysteresis policies in
-/// DynamicPlacer and engine::Engine.
+/// the operational move cost charged by engine::Engine's hysteresis rule.
 std::size_t DeploymentMoveCount(const Deployment& from, const Deployment& to);
 
 /// True iff every flow has at least one deployed vertex on its path.

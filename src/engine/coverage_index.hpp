@@ -2,10 +2,9 @@
 //
 // core::Instance precomputes the two lookups every solver needs — the
 // per-flow prefix-distance table behind l_v(f) and the reverse
-// vertex -> flows index — but it is immutable: under churn the
-// DynamicPlacer rebuilds both from scratch every epoch, O(|F| * |V|) work
-// that dwarfs the actual delta.  This index maintains the same state
-// incrementally:
+// vertex -> flows index — but it is immutable: under churn a from-scratch
+// re-solve rebuilds both every epoch, O(|F| * |V|) work that dwarfs the
+// actual delta.  This index maintains the same state incrementally:
 //
 //   * AddFlow appends one visit entry per path vertex: O(|p_f|).
 //   * RemoveFlow swap-erases each of the flow's visit entries from its

@@ -6,15 +6,15 @@
 //   1. Deltas are applied to the FlowCoverageIndex in O(churn), not
 //      O(|F| * |V|) rebuild.
 //   2. Feasibility is restored synchronously: newly unserved flows are
-//      greedy-covered with spare budget (the DynamicPlacer patch policy),
-//      so a snapshot published right after SubmitBatch already serves
-//      every coverable flow.
+//      greedy-covered with spare budget (the engine's patch policy), so a
+//      snapshot published right after SubmitBatch already serves every
+//      coverable flow.
 //   3. A full re-solve (IncrementalGtp, CELF) runs asynchronously on a
 //      thread pool against a frozen copy of the index.  A newer batch
 //      cancels a stale re-solve cooperatively; a completed re-solve is
-//      adopted only under the DynamicPlacer hysteresis rule (bandwidth
-//      saved >= move_threshold per middlebox moved — or unconditionally
-//      when the patched plan is infeasible).
+//      adopted only under the engine's hysteresis rule (bandwidth saved
+//      >= move_threshold per middlebox moved — or unconditionally when
+//      the patched plan is infeasible).
 //
 // Fault tolerance (DESIGN.md Section 9).  The re-solve pipeline is the
 // engine's only best-effort component — the synchronous patch keeps every

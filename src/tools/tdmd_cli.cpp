@@ -89,7 +89,6 @@
 
 #include "common/args.hpp"
 #include "common/rng.hpp"
-#include "core/dynamic.hpp"
 #include "core/tdmd.hpp"
 #include "engine/checkpoint.hpp"
 #include "engine/churn_trace.hpp"
@@ -376,30 +375,6 @@ struct ShardedServeParams {
   std::uint32_t prof_hz = obs::Profiler::kDefaultSampleHz;
 };
 
-/// Removes `positions` (indices into the pre-arrival `active` list, the
-/// DynamicPlacer positional-departure convention) in one compaction
-/// pass, returning the removed ids in position order.  The naive
-/// per-position erase is quadratic in the active count, and that CPU
-/// lands outside every trace span — it used to dominate profiled serve
-/// runs as unattributed samples.
-template <typename Id>
-std::vector<Id> TakeDepartures(std::vector<Id>& active,
-                               const std::vector<std::size_t>& positions) {
-  std::vector<Id> departing;
-  departing.reserve(positions.size());
-  std::vector<bool> leaving(active.size(), false);
-  for (std::size_t position : positions) {
-    departing.push_back(active[position]);
-    leaving[position] = true;
-  }
-  std::size_t kept = 0;
-  for (std::size_t i = 0; i < active.size(); ++i) {
-    if (!leaving[i]) active[kept++] = active[i];
-  }
-  active.resize(kept);
-  return departing;
-}
-
 /// Uninstalls the profiler, drains its rings and writes the collapsed
 /// stacks (shared by the single-engine and sharded serve-trace paths).
 void FinishProfile(obs::Profiler& profiler, const std::string& prof_out) {
@@ -477,39 +452,41 @@ int ServeTraceSharded(const core::Instance& inst,
   }
   shard::ShardedEngine fleet(inst.network(), options);
 
-  std::vector<shard::FlowId64> active;
+  // Append-only id table indexed by arrival ordinal: the restored or
+  // prefill flows first, then every epoch's arrivals.
+  std::vector<shard::FlowId64> ids;
   if (!params.restore.empty()) {
     auto checkpoint = shard::ReadFleetCheckpointFile(params.restore);
     if (!checkpoint.ok()) Die(checkpoint.error);
     fleet.Restore(*checkpoint.value);
-    active.reserve(checkpoint.value->flows.size());
+    ids.reserve(checkpoint.value->flows.size());
     for (const shard::FleetCheckpoint::FlowEntry& entry :
          checkpoint.value->flows) {
-      active.push_back(entry.id);
+      ids.push_back(entry.id);
     }
     std::printf("restored %s: fleet epoch %llu, %zu active flows, "
                 "%zu shards\n",
                 params.restore.c_str(),
                 static_cast<unsigned long long>(checkpoint.value->epoch),
-                active.size(), checkpoint.value->num_shards);
+                ids.size(), checkpoint.value->num_shards);
   } else {
     traffic::FlowSet prefill;
     prefill.reserve(static_cast<std::size_t>(inst.num_flows()));
     for (FlowId f = 0; f < inst.num_flows(); ++f) {
       prefill.push_back(inst.flow(f));
     }
-    active = fleet.SubmitBatch(prefill, {}).flow_ids;
+    ids = fleet.SubmitBatch(prefill, {}).flow_ids;
     std::printf("epoch %3llu  +%-4zu -0    active %zu\n",
                 static_cast<unsigned long long>(1), prefill.size(),
-                active.size());
+                ids.size());
   }
 
-  core::ChurnModel churn;
+  engine::ChurnModel churn;
   churn.arrival_count = params.arrival_count;
   churn.departure_probability = params.departure_probability;
   const engine::ChurnTrace trace =
       engine::BuildChurnTrace(inst.network(), churn, params.epochs,
-                              active.size(), params.seed);
+                              ids.size(), params.seed);
 
   const auto write_checkpoint = [&]() {
     if (!shard::WriteFleetCheckpointFile(params.checkpoint_out,
@@ -525,8 +502,8 @@ int ServeTraceSharded(const core::Instance& inst,
   if (profiler.has_value()) obs::InstallProfiler(&*profiler);
   std::size_t epochs_served = 0;
   for (const engine::ChurnEpoch& epoch : trace.epochs) {
-    std::vector<shard::FlowId64> departing =
-        TakeDepartures(active, epoch.departures);
+    const std::vector<shard::FlowId64> departing =
+        engine::DepartingIds(epoch, ids);
     if (params.kill_shard_at != 0 &&
         epochs_served + 1 == params.kill_shard_at) {
       const std::size_t victim = params.kill_shard % params.shards;
@@ -536,8 +513,7 @@ int ServeTraceSharded(const core::Instance& inst,
     }
     const shard::ShardedEngine::BatchResult batch =
         fleet.SubmitBatch(epoch.arrivals, departing);
-    active.insert(active.end(), batch.flow_ids.begin(),
-                  batch.flow_ids.end());
+    ids.insert(ids.end(), batch.flow_ids.begin(), batch.flow_ids.end());
     ++epochs_served;
     if (params.checkpoint_every > 0 &&
         epochs_served % params.checkpoint_every == 0) {
@@ -673,8 +649,8 @@ int ServeTrace(int argc, char** argv) {
   const auto* seed = parser.AddInt(
       "seed", 1,
       "rng seed; the churn trace derives deterministically from it via "
-      "the generator bench/engine_churn and bench/dynamic_churn share, so "
-      "equal seeds replay identical workloads everywhere");
+      "the generator bench/engine_churn shares, so equal seeds replay "
+      "identical workloads everywhere");
   const auto* fault_seed = parser.AddInt(
       "fault-seed", 0,
       "seed for deterministic fault injection (DESIGN.md Section 9.1); "
@@ -838,7 +814,9 @@ int ServeTrace(int argc, char** argv) {
                 static_cast<unsigned long long>(snapshot->version));
   };
 
-  std::vector<engine::FlowTicket> active;
+  // Append-only ticket table indexed by arrival ordinal: the restored or
+  // prefill flows first, then every epoch's arrivals.
+  std::vector<engine::FlowTicket> tickets;
   if (!restore->empty()) {
     // Resume from a checkpoint instead of replaying the prefill batch.
     auto checkpoint = io::ReadEngineCheckpointFile(*restore);
@@ -857,13 +835,13 @@ int ServeTrace(int argc, char** argv) {
           std::to_string(inst.num_vertices()));
     }
     eng.Restore(cp);
-    active.reserve(cp.active_flows.size());
+    tickets.reserve(cp.active_flows.size());
     for (const engine::EngineCheckpoint::ActiveFlow& f : cp.active_flows) {
-      active.push_back(f.ticket);
+      tickets.push_back(f.ticket);
     }
     std::printf("restored %s: epoch %llu, %zu active flows, mode %s\n",
                 restore->c_str(),
-                static_cast<unsigned long long>(cp.epoch), active.size(),
+                static_cast<unsigned long long>(cp.epoch), tickets.size(),
                 engine::EngineModeName(cp.mode));
   } else {
     // Epoch 1: the instance's own flow set arrives in one batch.
@@ -872,16 +850,16 @@ int ServeTrace(int argc, char** argv) {
     for (FlowId f = 0; f < inst.num_flows(); ++f) {
       prefill.push_back(inst.flow(f));
     }
-    active = eng.SubmitBatch(prefill, {}).tickets;
+    tickets = eng.SubmitBatch(prefill, {}).tickets;
     print_snapshot(prefill.size(), 0, 0);
   }
 
-  core::ChurnModel churn;
+  engine::ChurnModel churn;
   churn.arrival_count = static_cast<std::size_t>(*arrival_count);
   churn.departure_probability = *departure_probability;
   const engine::ChurnTrace trace = engine::BuildChurnTrace(
       inst.network(), churn, static_cast<std::size_t>(*epochs),
-      active.size(), static_cast<std::uint64_t>(*seed));
+      tickets.size(), static_cast<std::uint64_t>(*seed));
 
   const auto write_checkpoint = [&]() {
     // File-level writer: atomic temp+rename plus a CRC trailer, so a
@@ -900,12 +878,12 @@ int ServeTrace(int argc, char** argv) {
   if (profiler.has_value()) obs::InstallProfiler(&*profiler);
   std::size_t epochs_served = 0;
   for (const engine::ChurnEpoch& epoch : trace.epochs) {
-    std::vector<engine::FlowTicket> departing =
-        TakeDepartures(active, epoch.departures);
+    const std::vector<engine::FlowTicket> departing =
+        engine::DepartingIds(epoch, tickets);
     const engine::Engine::BatchResult batch =
         eng.SubmitBatch(epoch.arrivals, departing);
-    active.insert(active.end(), batch.tickets.begin(),
-                  batch.tickets.end());
+    tickets.insert(tickets.end(), batch.tickets.begin(),
+                   batch.tickets.end());
     print_snapshot(epoch.arrivals.size(), departing.size(),
                    batch.patch_boxes);
     ++epochs_served;

@@ -82,14 +82,13 @@ std::string BuildFleetFile(const std::string& path) {
   options.pin_threads = false;
   shard::ShardedEngine fleet(g, options);
 
-  core::ChurnModel churn;
+  engine::ChurnModel churn;
   churn.arrival_count = 4;
   churn.departure_probability = 0.2;
   const engine::ChurnTrace trace =
       engine::BuildChurnTrace(g, churn, 3, 0, 5);
-  std::vector<shard::FlowId64> active;
   for (const engine::ChurnEpoch& epoch : trace.epochs) {
-    active = fleet.SubmitBatch(epoch.arrivals, {}).flow_ids;
+    fleet.SubmitBatch(epoch.arrivals, {});
   }
   fleet.Drain();
   EXPECT_TRUE(shard::WriteFleetCheckpointFile(path, fleet.Checkpoint()));
@@ -103,7 +102,7 @@ std::string BuildEngineFile(const std::string& path) {
   options.lambda = 0.5;
   engine::Engine eng(g, options);
 
-  core::ChurnModel churn;
+  engine::ChurnModel churn;
   churn.arrival_count = 6;
   churn.departure_probability = 0.0;
   const engine::ChurnTrace trace =

@@ -11,6 +11,7 @@
 #include "engine/churn_trace.hpp"
 #include "engine/engine.hpp"
 #include "faults/faults.hpp"
+#include "test_util.hpp"
 #include "topology/generators.hpp"
 
 namespace tdmd::engine {
@@ -43,29 +44,22 @@ traffic::Flow DescendingLineFlow(Rate rate, VertexId from) {
 
 ChurnTrace MakeTrace(const graph::Digraph& network, std::size_t epochs,
                      std::uint64_t seed) {
-  core::ChurnModel churn;
+  ChurnModel churn;
   churn.arrival_count = 6;
   churn.departure_probability = 0.25;
   Rng rng(seed);
   return BuildChurnTrace(network, churn, epochs, 0, rng);
 }
 
+/// Replays `trace`, appending every issued ticket to `tickets` (the
+/// append-only table its departure ordinals index).
 void Replay(Engine& engine, const ChurnTrace& trace,
-            std::vector<FlowTicket>& active) {
+            std::vector<FlowTicket>& tickets) {
   for (const ChurnEpoch& epoch : trace.epochs) {
-    std::vector<FlowTicket> departing;
-    for (std::size_t position : epoch.departures) {
-      ASSERT_LT(position, active.size());
-      departing.push_back(active[position]);
-    }
-    for (auto it = epoch.departures.rbegin(); it != epoch.departures.rend();
-         ++it) {
-      active.erase(active.begin() + static_cast<std::ptrdiff_t>(*it));
-    }
     const Engine::BatchResult result =
-        engine.SubmitBatch(epoch.arrivals, departing);
-    active.insert(active.end(), result.tickets.begin(),
-                  result.tickets.end());
+        engine.SubmitBatch(epoch.arrivals, DepartingIds(epoch, tickets));
+    tickets.insert(tickets.end(), result.tickets.begin(),
+                   result.tickets.end());
   }
 }
 
@@ -96,8 +90,8 @@ TEST(EngineFaultTest, SameSeedReplaysByteIdentically) {
     options.synchronous = true;
     options.fault_injector = &injector;
     Engine engine(network, options);
-    std::vector<FlowTicket> active;
-    Replay(engine, trace, active);
+    std::vector<FlowTicket> tickets;
+    Replay(engine, trace, tickets);
     const auto snapshot = engine.CurrentSnapshot();
     return RunResult{snapshot->deployment.ToString(), snapshot->bandwidth,
                      injector.Events(), engine.stats().index_fault_retries,
@@ -129,8 +123,9 @@ TEST(EngineFaultTest, IndexDeltaFaultsAreRetriedWithoutStateDamage) {
   Engine engine(TestNetwork(42), options);
 
   const ChurnTrace trace = MakeTrace(engine.index().network(), 8, 52);
-  std::vector<FlowTicket> active;
-  Replay(engine, trace, active);
+  std::vector<FlowTicket> tickets;
+  Replay(engine, trace, tickets);
+  const std::vector<FlowTicket> active = test::LiveIds(trace, tickets);
 
   const EngineStats stats = engine.stats();
   EXPECT_GT(stats.index_fault_retries, 0u);
@@ -201,12 +196,8 @@ TEST(EngineFaultTest, DegradationRoundTrip) {
   Engine engine(TestNetwork(43), options);
 
   const ChurnTrace trace = MakeTrace(engine.index().network(), 4, 53);
-  std::vector<FlowTicket> active;
   for (const ChurnEpoch& epoch : trace.epochs) {
-    const Engine::BatchResult result =
-        engine.SubmitBatch(epoch.arrivals, {});
-    active.insert(active.end(), result.tickets.begin(),
-                  result.tickets.end());
+    engine.SubmitBatch(epoch.arrivals, {});
     // Degraded or not, the patch keeps the published plan feasible.
     EXPECT_TRUE(engine.CurrentSnapshot()->feasible);
   }
@@ -245,8 +236,8 @@ TEST(EngineFaultTest, ResolveAccountingBalancesUnderFaults) {
   Engine engine(TestNetwork(44), options);
 
   const ChurnTrace trace = MakeTrace(engine.index().network(), 15, 54);
-  std::vector<FlowTicket> active;
-  Replay(engine, trace, active);
+  std::vector<FlowTicket> tickets;
+  Replay(engine, trace, tickets);
   engine.WaitIdle();
 
   const EngineStats stats = engine.stats();
@@ -276,8 +267,8 @@ TEST(EngineFaultTest, DisarmedInjectorChangesNothing) {
   Engine engine(TestNetwork(45), options);
 
   const ChurnTrace trace = MakeTrace(engine.index().network(), 6, 55);
-  std::vector<FlowTicket> active;
-  Replay(engine, trace, active);
+  std::vector<FlowTicket> tickets;
+  Replay(engine, trace, tickets);
 
   const EngineStats stats = engine.stats();
   EXPECT_EQ(stats.resolve_failures, 0u);

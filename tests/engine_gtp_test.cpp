@@ -161,7 +161,7 @@ TEST(IncrementalGtpPropertyTest, MatchesBatchAfterChurn) {
 
 // The engine's re-solve mode: feasibility-aware selection while flows are
 // unserved, CELF afterwards.  Must match batch GTP's feasibility_aware
-// mode (the DynamicPlacer default solver) exactly.
+// mode (the solver class of engine_churn's from-scratch baseline) exactly.
 TEST(IncrementalGtpPropertyTest, FeasibilityAwareMatchesBatch) {
   Rng rng(911);
   for (int trial = 0; trial < 60; ++trial) {

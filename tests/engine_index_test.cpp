@@ -6,7 +6,6 @@
 #include <tuple>
 #include <vector>
 
-#include "core/dynamic.hpp"
 #include "engine/churn_trace.hpp"
 #include "test_util.hpp"
 #include "topology/generators.hpp"
@@ -169,26 +168,24 @@ TEST(FlowCoverageIndexTest, BuildInstanceMatchesActiveFlows) {
 TEST(FlowCoverageIndexSoakTest, FiftyEpochsMatchRebuild) {
   graph::Digraph network = TestNetwork(7, 24);
   FlowCoverageIndex index(network, 0.37);  // non-dyadic lambda on purpose
-  core::ChurnModel churn;
+  ChurnModel churn;
   churn.arrival_count = 12;
   churn.departure_probability = 0.3;
   Rng rng(99);
   const ChurnTrace trace = BuildChurnTrace(network, churn, 50, 0, rng);
 
-  std::vector<FlowTicket> active;
+  std::vector<FlowTicket> tickets;
   for (const ChurnEpoch& epoch : trace.epochs) {
-    // Departures index the pre-arrival active list, ascending; erase from
-    // the back so earlier indices stay valid.
-    for (auto it = epoch.departures.rbegin(); it != epoch.departures.rend();
-         ++it) {
-      ASSERT_LT(*it, active.size());
-      ASSERT_TRUE(index.RemoveFlow(active[*it]));
-      active.erase(active.begin() + static_cast<std::ptrdiff_t>(*it));
+    // Departures are removed latest-first.
+    const std::vector<FlowTicket> departing = DepartingIds(epoch, tickets);
+    for (auto it = departing.rbegin(); it != departing.rend(); ++it) {
+      ASSERT_TRUE(index.RemoveFlow(*it));
     }
     for (const traffic::Flow& flow : epoch.arrivals) {
-      active.push_back(index.AddFlow(flow));
+      tickets.push_back(index.AddFlow(flow));
     }
   }
+  const std::vector<FlowTicket> active = test::LiveIds(trace, tickets);
 
   ASSERT_EQ(index.active_flows(), active.size());
   ASSERT_EQ(active.size(), trace.FinalActiveCount(0));

@@ -58,7 +58,7 @@ void ExpectCoherent(const std::string& exposition) {
 TEST(EngineMetricsConsistency, SingleExpositionInvariantsUnderChurn) {
   Rng rng(2024);
   const graph::Digraph network = topology::Waxman(16, 0.5, 0.4, rng);
-  core::ChurnModel churn;
+  ChurnModel churn;
   churn.arrival_count = 8;
   churn.departure_probability = 0.3;
 
@@ -82,19 +82,12 @@ TEST(EngineMetricsConsistency, SingleExpositionInvariantsUnderChurn) {
 
   Rng trace_rng(2025);
   const ChurnTrace trace = BuildChurnTrace(network, churn, 24, 0, trace_rng);
-  std::vector<FlowTicket> active;
+  std::vector<FlowTicket> tickets;
   for (const ChurnEpoch& epoch : trace.epochs) {
-    std::vector<FlowTicket> departing;
-    for (std::size_t position : epoch.departures) {
-      departing.push_back(active[position]);
-    }
-    for (auto it = epoch.departures.rbegin(); it != epoch.departures.rend();
-         ++it) {
-      active.erase(active.begin() + static_cast<std::ptrdiff_t>(*it));
-    }
-    const auto result = eng.SubmitBatch(epoch.arrivals, departing);
-    active.insert(active.end(), result.tickets.begin(),
-                  result.tickets.end());
+    const auto result =
+        eng.SubmitBatch(epoch.arrivals, DepartingIds(epoch, tickets));
+    tickets.insert(tickets.end(), result.tickets.begin(),
+                   result.tickets.end());
   }
   eng.WaitIdle();
   stop.store(true, std::memory_order_release);

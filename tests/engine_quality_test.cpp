@@ -41,13 +41,15 @@ traffic::FlowSet Prefill(const graph::Digraph& network, std::uint64_t seed,
   return traffic::GenerateGeneralWorkload(network, {}, params, rng);
 }
 
+/// Churn over `prefill` flows already live, so departures reach the
+/// prefill as well as the trace's own arrivals.
 ChurnTrace MakeTrace(const graph::Digraph& network, std::size_t epochs,
-                     std::uint64_t seed) {
-  core::ChurnModel churn;
+                     std::uint64_t seed, const traffic::FlowSet& prefill) {
+  ChurnModel churn;
   churn.arrival_count = 3;
   churn.departure_probability = 0.2;
   Rng rng(seed);
-  return BuildChurnTrace(network, churn, epochs, 0, rng);
+  return BuildChurnTrace(network, churn, epochs, prefill.size(), rng);
 }
 
 /// Descending line digraph n-1 -> ... -> 0; the feasibility patch (ties
@@ -69,8 +71,9 @@ traffic::Flow DescendingLineFlow(Rate rate, VertexId from) {
   return f;
 }
 
-/// Replays the trace while mirroring the engine's active flow set, and
-/// after every epoch cross-validates the freshest quality sample against
+/// Replays the prefill and then the trace while mirroring the engine's
+/// active flow set (in arrival order), and after every epoch
+/// cross-validates the freshest quality sample against
 /// a from-scratch core::Instance of the same flows: the sampled decrement
 /// must match unprocessed - bandwidth, the certified bound must cover the
 /// realized decrement, and on these small instances the bound must also
@@ -85,31 +88,30 @@ void ReplayAndValidate(const graph::Digraph& network,
   options.synchronous = true;
   Engine engine(network, options);
 
+  // Tickets and flows indexed by arrival ordinal, and which departed.
   std::vector<FlowTicket> tickets;
+  std::vector<traffic::Flow> arrived;
+  std::vector<bool> departed;
   std::vector<traffic::Flow> mirror;
-  const auto submit = [&](const std::vector<traffic::Flow>& arrivals,
-                          const std::vector<std::size_t>& departures) {
-    std::vector<FlowTicket> departing;
-    for (std::size_t position : departures) {
-      ASSERT_LT(position, tickets.size());
-      departing.push_back(tickets[position]);
-    }
-    for (auto it = departures.rbegin(); it != departures.rend(); ++it) {
-      const auto offset = static_cast<std::ptrdiff_t>(*it);
-      tickets.erase(tickets.begin() + offset);
-      mirror.erase(mirror.begin() + offset);
-    }
+  const auto submit = [&](const ChurnEpoch& epoch) {
     const Engine::BatchResult result =
-        engine.SubmitBatch(arrivals, departing);
+        engine.SubmitBatch(epoch.arrivals, DepartingIds(epoch, tickets));
+    for (std::size_t ordinal : epoch.departures) departed[ordinal] = true;
     tickets.insert(tickets.end(), result.tickets.begin(),
                    result.tickets.end());
-    mirror.insert(mirror.end(), arrivals.begin(), arrivals.end());
+    arrived.insert(arrived.end(), epoch.arrivals.begin(),
+                   epoch.arrivals.end());
+    departed.resize(arrived.size(), false);
+    mirror.clear();
+    for (std::size_t i = 0; i < arrived.size(); ++i) {
+      if (!departed[i]) mirror.push_back(arrived[i]);
+    }
   };
 
-  submit(prefill, {});
+  submit(ChurnEpoch{prefill, {}});
   std::size_t certified_samples = 0;
   for (const ChurnEpoch& epoch : trace.epochs) {
-    submit(epoch.arrivals, epoch.departures);
+    submit(epoch);
     const obs::QualityTimelineSnapshot timeline = engine.QualityTimeline();
     ASSERT_FALSE(timeline.samples.empty());
     const obs::QualitySample& sample = timeline.samples.back();
@@ -137,8 +139,9 @@ void ReplayAndValidate(const graph::Digraph& network,
 TEST(EngineQualityTest, CertificateCoversOptimumOnGeneralInstances) {
   for (std::uint64_t seed = 1; seed <= 4; ++seed) {
     const graph::Digraph network = GeneralNetwork(seed, 9);
-    ReplayAndValidate(network, Prefill(network, seed + 100, 8),
-                      MakeTrace(network, 8, seed + 200), /*k=*/2,
+    const traffic::FlowSet prefill = Prefill(network, seed + 100, 8);
+    ReplayAndValidate(network, prefill,
+                      MakeTrace(network, 8, seed + 200, prefill), /*k=*/2,
                       /*lambda=*/0.5);
   }
 }
@@ -154,7 +157,8 @@ TEST(EngineQualityTest, CertificateCoversOptimumOnTreeInstances) {
     Rng wl_rng(seed + 300);
     const traffic::FlowSet prefill =
         traffic::GenerateTreeWorkload(tree, params, wl_rng);
-    ReplayAndValidate(network, prefill, MakeTrace(network, 8, seed + 400),
+    ReplayAndValidate(network, prefill,
+                      MakeTrace(network, 8, seed + 400, prefill),
                       /*k=*/2, /*lambda=*/0.4);
   }
 }

@@ -23,7 +23,7 @@ graph::Digraph TestNetwork(std::uint64_t seed) {
 
 TEST(EngineShutdownStressTest, DestructionDuringCancellationStorm) {
   const graph::Digraph network = TestNetwork(81);
-  core::ChurnModel churn;
+  ChurnModel churn;
   churn.arrival_count = 8;
   churn.departure_probability = 0.2;
 
@@ -52,22 +52,12 @@ TEST(EngineShutdownStressTest, DestructionDuringCancellationStorm) {
         BuildChurnTrace(network, churn, 6, 0, /*seed=*/2000 + round);
     {
       Engine engine(network, options);
-      std::vector<FlowTicket> active;
+      std::vector<FlowTicket> tickets;
       for (const ChurnEpoch& epoch : trace.epochs) {
-        std::vector<FlowTicket> departing;
-        for (std::size_t position : epoch.departures) {
-          ASSERT_LT(position, active.size());
-          departing.push_back(active[position]);
-        }
-        for (auto it = epoch.departures.rbegin();
-             it != epoch.departures.rend(); ++it) {
-          active.erase(active.begin() +
-                       static_cast<std::ptrdiff_t>(*it));
-        }
         const Engine::BatchResult result =
-            engine.SubmitBatch(epoch.arrivals, departing);
-        active.insert(active.end(), result.tickets.begin(),
-                      result.tickets.end());
+            engine.SubmitBatch(epoch.arrivals, DepartingIds(epoch, tickets));
+        tickets.insert(tickets.end(), result.tickets.begin(),
+                       result.tickets.end());
       }
       // No WaitIdle: the destructor must cope with live re-solve chains,
       // pending retries and a running watchdog.

@@ -8,7 +8,6 @@
 #include <vector>
 
 #include "analysis/audit.hpp"
-#include "core/dynamic.hpp"
 #include "core/gtp.hpp"
 #include "engine/churn_trace.hpp"
 #include "test_util.hpp"
@@ -22,26 +21,17 @@ graph::Digraph TestNetwork(std::uint64_t seed, VertexId n = 24) {
   return topology::Waxman(n, 0.5, 0.4, rng);
 }
 
-/// Drives `engine` through `trace`, translating the trace's positional
-/// departures into tickets (the bookkeeping a real client would do).
+/// Drives `engine` through `trace`, translating the trace's departure
+/// ordinals into tickets (the bookkeeping a real client would do).
 /// Calls `on_epoch` after every batch.
 template <typename OnEpoch>
 void Replay(Engine& engine, const ChurnTrace& trace, OnEpoch&& on_epoch) {
-  std::vector<FlowTicket> active;
+  std::vector<FlowTicket> tickets;
   for (const ChurnEpoch& epoch : trace.epochs) {
-    std::vector<FlowTicket> departing;
-    for (std::size_t position : epoch.departures) {
-      ASSERT_LT(position, active.size());
-      departing.push_back(active[position]);
-    }
-    for (auto it = epoch.departures.rbegin(); it != epoch.departures.rend();
-         ++it) {
-      active.erase(active.begin() + static_cast<std::ptrdiff_t>(*it));
-    }
     const Engine::BatchResult result =
-        engine.SubmitBatch(epoch.arrivals, departing);
-    active.insert(active.end(), result.tickets.begin(),
-                  result.tickets.end());
+        engine.SubmitBatch(epoch.arrivals, DepartingIds(epoch, tickets));
+    tickets.insert(tickets.end(), result.tickets.begin(),
+                   result.tickets.end());
     on_epoch(result);
   }
 }
@@ -49,7 +39,7 @@ void Replay(Engine& engine, const ChurnTrace& trace, OnEpoch&& on_epoch) {
 ChurnTrace MakeTrace(const graph::Digraph& network, std::size_t epochs,
                      std::uint64_t seed, std::size_t arrival_count = 8,
                      double departure_probability = 0.25) {
-  core::ChurnModel churn;
+  ChurnModel churn;
   churn.arrival_count = arrival_count;
   churn.departure_probability = departure_probability;
   Rng rng(seed);
@@ -131,7 +121,7 @@ TEST(EngineTest, ZeroThresholdTracksBatchGtpQuality) {
   // With zero hysteresis the engine adopts any feasible re-solve that is
   // at least as good, so the published plan can never be worse than the
   // from-scratch answer of its own solver class (feasibility-aware
-  // budgeted GTP, the DynamicPlacer reference) on the same flow set.
+  // budgeted GTP) on the same flow set.
   core::GtpOptions batch_options;
   batch_options.max_middleboxes = options.k;
   batch_options.feasibility_aware = true;
@@ -141,6 +131,32 @@ TEST(EngineTest, ZeroThresholdTracksBatchGtpQuality) {
   EXPECT_TRUE(snapshot->feasible);
   EXPECT_LE(snapshot->bandwidth, batch.bandwidth + 1e-9);
   EXPECT_GT(engine.stats().adoptions, 0u);
+}
+
+// The stability/optimality trade-off of the hysteresis rule: on one
+// trace, a zero threshold moves more middleboxes than a prohibitive one
+// and never pays more summed bandwidth for it.
+TEST(EngineTest, ThresholdTradesMovesForBandwidth) {
+  const graph::Digraph network = TestNetwork(10, 20);
+  const ChurnTrace trace = MakeTrace(network, 12, 11, /*arrival_count=*/6,
+                                     /*departure_probability=*/0.15);
+  const auto run = [&](double threshold) {
+    EngineOptions options;
+    options.k = 6;
+    options.synchronous = true;
+    options.move_threshold = threshold;
+    Engine engine(network, options);
+    double bandwidth = 0.0;
+    Replay(engine, trace, [&](const Engine::BatchResult&) {
+      bandwidth += engine.CurrentSnapshot()->bandwidth;
+    });
+    return std::pair<std::uint64_t, double>(engine.stats().middlebox_moves,
+                                            bandwidth);
+  };
+  const auto [eager_moves, eager_bandwidth] = run(0.0);
+  const auto [lazy_moves, lazy_bandwidth] = run(1e9);
+  EXPECT_GT(eager_moves, lazy_moves);
+  EXPECT_LE(eager_bandwidth, lazy_bandwidth + 1e-9);
 }
 
 TEST(EngineTest, AsyncPipelineDrainsAndBalancesCounters) {
@@ -180,10 +196,10 @@ TEST(EngineTest, DepartingEveryFlowReturnsToEmptyFeasibility) {
   Engine engine(TestNetwork(16), options);
 
   Rng rng(30);
-  core::ChurnModel churn;
+  ChurnModel churn;
   churn.arrival_count = 10;
   const traffic::FlowSet arrivals =
-      core::DrawArrivals(engine.index().network(), churn, rng);
+      DrawArrivals(engine.index().network(), churn, rng);
   const Engine::BatchResult first = engine.SubmitBatch(arrivals, {});
   ASSERT_EQ(first.tickets.size(), arrivals.size());
   EXPECT_TRUE(engine.CurrentSnapshot()->feasible);
@@ -208,10 +224,10 @@ TEST(EngineTest, DuplicateDeparturesAreCountedNoOps) {
   Engine engine(TestNetwork(18), options);
 
   Rng rng(31);
-  core::ChurnModel churn;
+  ChurnModel churn;
   churn.arrival_count = 6;
   const traffic::FlowSet arrivals =
-      core::DrawArrivals(engine.index().network(), churn, rng);
+      DrawArrivals(engine.index().network(), churn, rng);
   const Engine::BatchResult first = engine.SubmitBatch(arrivals, {});
   ASSERT_EQ(first.tickets.size(), arrivals.size());
 

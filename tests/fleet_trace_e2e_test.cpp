@@ -39,7 +39,7 @@ graph::Digraph TestNetwork(std::uint64_t seed, VertexId n = 30) {
 
 engine::ChurnTrace MakeTrace(const graph::Digraph& g, std::size_t epochs,
                              std::uint64_t seed) {
-  core::ChurnModel churn;
+  engine::ChurnModel churn;
   churn.arrival_count = 6;
   churn.departure_probability = 0.3;
   return engine::BuildChurnTrace(g, churn, epochs, 0, seed);
@@ -63,21 +63,11 @@ std::string Prometheus(ShardedEngine& fleet) {
 }
 
 void ReplayFleet(ShardedEngine& fleet, const engine::ChurnTrace& trace,
-                 std::vector<FlowId64>& active) {
+                 std::vector<FlowId64>& ids) {
   for (const engine::ChurnEpoch& epoch : trace.epochs) {
-    std::vector<FlowId64> departures;
-    departures.reserve(epoch.departures.size());
-    for (const std::size_t index : epoch.departures) {
-      departures.push_back(active[index]);
-    }
-    for (auto it = epoch.departures.rbegin(); it != epoch.departures.rend();
-         ++it) {
-      active.erase(active.begin() + static_cast<std::ptrdiff_t>(*it));
-    }
-    const ShardedEngine::BatchResult result =
-        fleet.SubmitBatch(epoch.arrivals, departures);
-    active.insert(active.end(), result.flow_ids.begin(),
-                  result.flow_ids.end());
+    const ShardedEngine::BatchResult result = fleet.SubmitBatch(
+        epoch.arrivals, engine::DepartingIds(epoch, ids));
+    ids.insert(ids.end(), result.flow_ids.begin(), result.flow_ids.end());
   }
 }
 
@@ -89,10 +79,10 @@ TEST(FleetTraceE2eTest, FourShardTracedRunReconstructsConnectedChains) {
 
   obs::Tracer tracer;
   ShardedEngine fleet(g, FleetOptions(4, 8));
-  std::vector<FlowId64> active;
+  std::vector<FlowId64> ids;
   {
     ScopedInstall install(&tracer);
-    ReplayFleet(fleet, trace, active);
+    ReplayFleet(fleet, trace, ids);
     fleet.Drain();
   }
 
@@ -126,8 +116,8 @@ TEST(FleetTraceE2eTest, MetricsExposeE2ePipelineAndDropTotal) {
   const graph::Digraph g = TestNetwork(5);
   const engine::ChurnTrace trace = MakeTrace(g, 8, 5);
   ShardedEngine fleet(g, FleetOptions(2, 6));
-  std::vector<FlowId64> active;
-  ReplayFleet(fleet, trace, active);
+  std::vector<FlowId64> ids;
+  ReplayFleet(fleet, trace, ids);
   fleet.Drain();
 
   const std::string metrics = Prometheus(fleet);
@@ -167,21 +157,11 @@ TEST(FleetTraceE2eTest, SloBurnAlertRaisesUnderBurnAndClearsAfter) {
   // clean epochs per burning one).
   options.e2e_alert.slack = 0.25;
   ShardedEngine fleet(g, options);
-  std::vector<FlowId64> active;
+  std::vector<FlowId64> ids;
   for (const engine::ChurnEpoch& epoch : trace.epochs) {
-    std::vector<FlowId64> departures;
-    departures.reserve(epoch.departures.size());
-    for (const std::size_t index : epoch.departures) {
-      departures.push_back(active[index]);
-    }
-    for (auto it = epoch.departures.rbegin(); it != epoch.departures.rend();
-         ++it) {
-      active.erase(active.begin() + static_cast<std::ptrdiff_t>(*it));
-    }
-    const ShardedEngine::BatchResult result =
-        fleet.SubmitBatch(epoch.arrivals, departures);
-    active.insert(active.end(), result.flow_ids.begin(),
-                  result.flow_ids.end());
+    const ShardedEngine::BatchResult result = fleet.SubmitBatch(
+        epoch.arrivals, engine::DepartingIds(epoch, ids));
+    ids.insert(ids.end(), result.flow_ids.begin(), result.flow_ids.end());
     // Quiesce so the next submit's sample sees this epoch's violations.
     fleet.Drain();
   }
@@ -208,8 +188,8 @@ TEST(FleetTraceE2eTest, SloBurnAlertRaisesUnderBurnAndClearsAfter) {
   ShardedEngineOptions quiet_options = FleetOptions(2, 6);
   quiet_options.e2e_slo = std::chrono::seconds(10);
   ShardedEngine quiet(g, quiet_options);
-  std::vector<FlowId64> quiet_active;
-  ReplayFleet(quiet, trace, quiet_active);
+  std::vector<FlowId64> quiet_ids;
+  ReplayFleet(quiet, trace, quiet_ids);
   quiet.Drain();
   (void)quiet.SubmitBatch({}, {});
   EXPECT_FALSE(quiet.e2e_alert().active());
@@ -218,7 +198,7 @@ TEST(FleetTraceE2eTest, SloBurnAlertRaisesUnderBurnAndClearsAfter) {
 
 TEST(FleetTraceE2eTest, RecoveryAndShedInstantsLandInBothReports) {
   const graph::Digraph g = TestNetwork(9, 20);
-  core::ChurnModel churn;
+  engine::ChurnModel churn;
   churn.arrival_count = 5;
   churn.departure_probability = 0.25;
   const engine::ChurnTrace trace =
@@ -244,22 +224,13 @@ TEST(FleetTraceE2eTest, RecoveryAndShedInstantsLandInBothReports) {
   {
     ScopedInstall install(&tracer);
     ShardedEngine fleet(g, options);
-    std::vector<FlowId64> active;
+    std::vector<FlowId64> ids;
     for (std::size_t e = 0; e < trace.epochs.size(); ++e) {
       if (e == 4) fleet.CrashShard(1);
-      std::vector<FlowId64> departures;
-      departures.reserve(trace.epochs[e].departures.size());
-      for (const std::size_t index : trace.epochs[e].departures) {
-        departures.push_back(active[index]);
-      }
-      for (auto it = trace.epochs[e].departures.rbegin();
-           it != trace.epochs[e].departures.rend(); ++it) {
-        active.erase(active.begin() + static_cast<std::ptrdiff_t>(*it));
-      }
       const ShardedEngine::BatchResult result =
-          fleet.SubmitBatch(trace.epochs[e].arrivals, departures);
-      active.insert(active.end(), result.flow_ids.begin(),
-                    result.flow_ids.end());
+          fleet.SubmitBatch(trace.epochs[e].arrivals,
+                            engine::DepartingIds(trace.epochs[e], ids));
+      ids.insert(ids.end(), result.flow_ids.begin(), result.flow_ids.end());
     }
     fleet.Drain();
     fleet.Supervise();

@@ -29,7 +29,7 @@ namespace {
 TEST(ObsMetricsStress, ConcurrentMetricsReadsDuringChurn) {
   Rng rng(101);
   const graph::Digraph network = topology::Waxman(18, 0.5, 0.4, rng);
-  core::ChurnModel churn;
+  engine::ChurnModel churn;
   churn.arrival_count = 10;
   churn.departure_probability = 0.25;
 
@@ -69,19 +69,12 @@ TEST(ObsMetricsStress, ConcurrentMetricsReadsDuringChurn) {
       Rng trace_rng(102 + static_cast<std::uint64_t>(iteration));
       const engine::ChurnTrace trace =
           engine::BuildChurnTrace(network, churn, 12, 0, trace_rng);
-      std::vector<engine::FlowTicket> active;
+      std::vector<engine::FlowTicket> tickets;
       for (const engine::ChurnEpoch& epoch : trace.epochs) {
-        std::vector<engine::FlowTicket> departing;
-        for (std::size_t position : epoch.departures) {
-          departing.push_back(active[position]);
-        }
-        for (auto it = epoch.departures.rbegin();
-             it != epoch.departures.rend(); ++it) {
-          active.erase(active.begin() + static_cast<std::ptrdiff_t>(*it));
-        }
-        const auto result = eng.SubmitBatch(epoch.arrivals, departing);
-        active.insert(active.end(), result.tickets.begin(),
-                      result.tickets.end());
+        const auto result = eng.SubmitBatch(
+            epoch.arrivals, engine::DepartingIds(epoch, tickets));
+        tickets.insert(tickets.end(), result.tickets.begin(),
+                       result.tickets.end());
       }
       eng.WaitIdle();
 

@@ -10,7 +10,7 @@
 #include <sstream>
 #include <string>
 
-#include "core/dynamic.hpp"
+#include "engine/churn_trace.hpp"
 #include "engine/engine.hpp"
 #include "obs/histogram.hpp"
 #include "topology/generators.hpp"
@@ -69,10 +69,10 @@ TEST(ObsMetricsTest, EngineMetricsExposeEveryCounterAndHistogram) {
   options.k = 3;
   options.synchronous = true;
   engine::Engine eng(network, options);
-  core::ChurnModel churn;
+  engine::ChurnModel churn;
   churn.arrival_count = 8;
   const traffic::FlowSet arrivals =
-      core::DrawArrivals(network, churn, rng);
+      engine::DrawArrivals(network, churn, rng);
   (void)eng.SubmitBatch(arrivals, {});
 
   std::ostringstream prom_os;

@@ -40,7 +40,7 @@ std::uint64_t CountViolations(const TraceDrainResult& drained) {
 TEST(ObsTraceStress, ConcurrentEmissionDuringChurnAndShutdown) {
   Rng rng(97);
   const graph::Digraph network = topology::Waxman(18, 0.5, 0.4, rng);
-  core::ChurnModel churn;
+  engine::ChurnModel churn;
   churn.arrival_count = 10;
   churn.departure_probability = 0.25;
 
@@ -72,21 +72,13 @@ TEST(ObsTraceStress, ConcurrentEmissionDuringChurnAndShutdown) {
       Rng trace_rng(98 + static_cast<std::uint64_t>(iteration));
       const engine::ChurnTrace trace =
           engine::BuildChurnTrace(network, churn, 12, 0, trace_rng);
-      std::vector<engine::FlowTicket> active;
+      std::vector<engine::FlowTicket> tickets;
       std::size_t epoch_index = 0;
       for (const engine::ChurnEpoch& epoch : trace.epochs) {
-        std::vector<engine::FlowTicket> departing;
-        for (std::size_t position : epoch.departures) {
-          departing.push_back(active[position]);
-        }
-        for (auto it = epoch.departures.rbegin();
-             it != epoch.departures.rend(); ++it) {
-          active.erase(active.begin() +
-                       static_cast<std::ptrdiff_t>(*it));
-        }
-        const auto result = eng.SubmitBatch(epoch.arrivals, departing);
-        active.insert(active.end(), result.tickets.begin(),
-                      result.tickets.end());
+        const auto result = eng.SubmitBatch(
+            epoch.arrivals, engine::DepartingIds(epoch, tickets));
+        tickets.insert(tickets.end(), result.tickets.begin(),
+                       result.tickets.end());
         if (++epoch_index % 4 == 0) {
           (void)eng.Checkpoint();  // kCheckpoint spans under load
         }

@@ -164,7 +164,7 @@ TEST(ObsTraceTest, TextLogNamesEveryEvent) {
 TEST(ObsTraceTest, TracedEngineRunEmitsExpectedPhases) {
   Rng rng(91);
   const graph::Digraph network = topology::Waxman(20, 0.5, 0.4, rng);
-  core::ChurnModel churn;
+  engine::ChurnModel churn;
   churn.arrival_count = 6;
   churn.departure_probability = 0.2;
   Rng trace_rng(92);
@@ -177,19 +177,12 @@ TEST(ObsTraceTest, TracedEngineRunEmitsExpectedPhases) {
   options.k = 4;
   options.synchronous = true;
   engine::Engine eng(network, options);
-  std::vector<engine::FlowTicket> active;
+  std::vector<engine::FlowTicket> tickets;
   for (const engine::ChurnEpoch& epoch : trace.epochs) {
-    std::vector<engine::FlowTicket> departing;
-    for (std::size_t position : epoch.departures) {
-      departing.push_back(active[position]);
-    }
-    for (auto it = epoch.departures.rbegin();
-         it != epoch.departures.rend(); ++it) {
-      active.erase(active.begin() + static_cast<std::ptrdiff_t>(*it));
-    }
-    const auto result = eng.SubmitBatch(epoch.arrivals, departing);
-    active.insert(active.end(), result.tickets.begin(),
-                  result.tickets.end());
+    const auto result =
+        eng.SubmitBatch(epoch.arrivals, engine::DepartingIds(epoch, tickets));
+    tickets.insert(tickets.end(), result.tickets.begin(),
+                   result.tickets.end());
   }
   (void)eng.Checkpoint();
 

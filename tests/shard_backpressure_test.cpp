@@ -17,6 +17,7 @@
 #include "engine/churn_trace.hpp"
 #include "faults/faults.hpp"
 #include "shard/sharded_engine.hpp"
+#include "test_util.hpp"
 #include "topology/generators.hpp"
 
 namespace tdmd::shard {
@@ -81,7 +82,7 @@ TEST(ShardBackpressureTest, OverloadShedsWithoutLosingFlows) {
   // consumer regime.  The fleet must block at the high-water mark, shed
   // past the deadline, and still admit every arrival exactly once.
   const graph::Digraph g = TestNetwork(103);
-  core::ChurnModel churn;
+  engine::ChurnModel churn;
   churn.arrival_count = 5;
   churn.departure_probability = 0.25;
   const engine::ChurnTrace trace =
@@ -107,25 +108,17 @@ TEST(ShardBackpressureTest, OverloadShedsWithoutLosingFlows) {
   options.shed_alert.threshold = 0.25;
   ShardedEngine fleet(g, options);
 
-  std::vector<FlowId64> active;
+  std::vector<FlowId64> ids;
   std::size_t submitted = 0;
   for (const engine::ChurnEpoch& epoch : trace.epochs) {
-    std::vector<FlowId64> departures;
-    departures.reserve(epoch.departures.size());
-    for (const std::size_t index : epoch.departures) {
-      departures.push_back(active[index]);
-    }
-    for (auto it = epoch.departures.rbegin();
-         it != epoch.departures.rend(); ++it) {
-      active.erase(active.begin() + static_cast<std::ptrdiff_t>(*it));
-    }
+    const std::vector<FlowId64> departures = engine::DepartingIds(epoch, ids);
     const ShardedEngine::BatchResult result =
         fleet.SubmitBatch(epoch.arrivals, departures);
-    active.insert(active.end(), result.flow_ids.begin(),
-                  result.flow_ids.end());
+    ids.insert(ids.end(), result.flow_ids.begin(), result.flow_ids.end());
     submitted += epoch.arrivals.size() + departures.size();
   }
   fleet.Drain();
+  const std::vector<FlowId64> active = test::LiveIds(trace, ids);
 
   const FleetStats& stats = fleet.stats();
   EXPECT_GE(stats.backpressure_waits, 1u);
@@ -164,7 +157,7 @@ TEST(ShardBackpressureTest, UnboundedQueuesNeverShed) {
   // queue_depth = 0 disables the whole overload posture even with the
   // same consumer stalls: nothing blocks, nothing sheds.
   const graph::Digraph g = TestNetwork(107);
-  core::ChurnModel churn;
+  engine::ChurnModel churn;
   churn.arrival_count = 4;
   churn.departure_probability = 0.0;
   const engine::ChurnTrace trace =

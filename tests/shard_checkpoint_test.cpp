@@ -22,6 +22,7 @@
 #include "io/text_format.hpp"
 #include "checkpoint_compare.hpp"
 #include "shard/sharded_engine.hpp"
+#include "test_util.hpp"
 #include "topology/generators.hpp"
 
 namespace tdmd::shard {
@@ -34,30 +35,22 @@ graph::Digraph TestNetwork(std::uint64_t seed, VertexId n = 30) {
 
 engine::ChurnTrace MakeTrace(const graph::Digraph& g, std::size_t epochs,
                              std::uint64_t seed) {
-  core::ChurnModel churn;
+  engine::ChurnModel churn;
   churn.arrival_count = 6;
   churn.departure_probability = 0.3;
   return engine::BuildChurnTrace(g, churn, epochs, 0, seed);
 }
 
+/// Replays epochs [from, to) of `trace`, appending every issued id to
+/// `ids` (the client's table, indexed by arrival ordinal).
 void ReplayFleet(ShardedEngine& fleet, const engine::ChurnTrace& trace,
                  std::size_t from, std::size_t to,
-                 std::vector<FlowId64>& active) {
+                 std::vector<FlowId64>& ids) {
   for (std::size_t e = from; e < to; ++e) {
     const engine::ChurnEpoch& epoch = trace.epochs[e];
-    std::vector<FlowId64> departures;
-    departures.reserve(epoch.departures.size());
-    for (const std::size_t index : epoch.departures) {
-      departures.push_back(active[index]);
-    }
-    for (auto it = epoch.departures.rbegin(); it != epoch.departures.rend();
-         ++it) {
-      active.erase(active.begin() + static_cast<std::ptrdiff_t>(*it));
-    }
     const ShardedEngine::BatchResult result =
-        fleet.SubmitBatch(epoch.arrivals, departures);
-    active.insert(active.end(), result.flow_ids.begin(),
-                  result.flow_ids.end());
+        fleet.SubmitBatch(epoch.arrivals, engine::DepartingIds(epoch, ids));
+    ids.insert(ids.end(), result.flow_ids.begin(), result.flow_ids.end());
   }
   fleet.Drain();
 }
@@ -85,8 +78,8 @@ TEST(ShardCheckpointTest, WriteReadWriteIsByteIdentical) {
   const graph::Digraph g = TestNetwork(71);
   const engine::ChurnTrace trace = MakeTrace(g, 8, 3);
   ShardedEngine fleet(g, FleetOptions(3, 9));
-  std::vector<FlowId64> active;
-  ReplayFleet(fleet, trace, 0, trace.epochs.size(), active);
+  std::vector<FlowId64> ids;
+  ReplayFleet(fleet, trace, 0, trace.epochs.size(), ids);
 
   const FleetCheckpoint cp = fleet.Checkpoint();
   const std::string first = Serialize(cp);
@@ -115,17 +108,19 @@ TEST(ShardCheckpointTest, ResumesMidChurnWithSamePlacements) {
 
   // Uninterrupted run over all 12 epochs.
   ShardedEngine uninterrupted(g, options);
-  std::vector<FlowId64> active_a;
-  ReplayFleet(uninterrupted, trace, 0, trace.epochs.size(), active_a);
+  std::vector<FlowId64> ids_a;
+  ReplayFleet(uninterrupted, trace, 0, trace.epochs.size(), ids_a);
 
   // Checkpoint a second fleet mid-churn...
   ShardedEngine first_half(g, options);
-  std::vector<FlowId64> active_b;
-  ReplayFleet(first_half, trace, 0, 6, active_b);
+  std::vector<FlowId64> ids_b;
+  ReplayFleet(first_half, trace, 0, 6, ids_b);
   const FleetCheckpoint cp = first_half.Checkpoint();
 
   // ...and resume it in a fresh fleet built with the identical options
   // (the checkpoint carries no partition seeds; the spec must match).
+  // The checkpoint restores exactly the client's live ids, so the
+  // client's id table keeps addressing them after the restart.
   ShardedEngine resumed(g, options);
   resumed.Restore(cp);
   std::vector<FlowId64> active_c;
@@ -133,9 +128,9 @@ TEST(ShardCheckpointTest, ResumesMidChurnWithSamePlacements) {
   for (const FleetCheckpoint::FlowEntry& entry : cp.flows) {
     active_c.push_back(entry.id);
   }
-  ASSERT_EQ(active_c, active_b);
-  ReplayFleet(resumed, trace, 6, trace.epochs.size(), active_c);
-  ASSERT_EQ(active_c, active_a);
+  ASSERT_EQ(active_c, test::LiveIds(trace, ids_b, 6));
+  ReplayFleet(resumed, trace, 6, trace.epochs.size(), ids_b);
+  ASSERT_EQ(ids_b, ids_a);
 
   // Same published placements and accounting as the uninterrupted run.
   FleetSnapshot snap_a = uninterrupted.Snapshot();
@@ -168,8 +163,8 @@ TEST(ShardCheckpointTest, SingleShardEmbedsPlainEngineCheckpoint) {
 
   const ShardedEngineOptions options = FleetOptions(1, 5);
   ShardedEngine fleet(g, options);
-  std::vector<FlowId64> fleet_active;
-  ReplayFleet(fleet, trace, 0, trace.epochs.size(), fleet_active);
+  std::vector<FlowId64> fleet_ids;
+  ReplayFleet(fleet, trace, 0, trace.epochs.size(), fleet_ids);
   const FleetCheckpoint cp = fleet.Checkpoint();
   ASSERT_EQ(cp.engines.size(), 1u);
 
@@ -179,21 +174,12 @@ TEST(ShardCheckpointTest, SingleShardEmbedsPlainEngineCheckpoint) {
   plain.synchronous = true;
   plain.solver_threads = 1;
   engine::Engine eng(g, plain);
-  std::vector<engine::FlowTicket> engine_active;
+  std::vector<engine::FlowTicket> engine_tickets;
   for (const engine::ChurnEpoch& epoch : trace.epochs) {
-    std::vector<engine::FlowTicket> departures;
-    for (const std::size_t index : epoch.departures) {
-      departures.push_back(engine_active[index]);
-    }
-    for (auto it = epoch.departures.rbegin(); it != epoch.departures.rend();
-         ++it) {
-      engine_active.erase(engine_active.begin() +
-                          static_cast<std::ptrdiff_t>(*it));
-    }
-    const engine::Engine::BatchResult result =
-        eng.SubmitBatch(epoch.arrivals, departures);
-    engine_active.insert(engine_active.end(), result.tickets.begin(),
-                         result.tickets.end());
+    const engine::Engine::BatchResult result = eng.SubmitBatch(
+        epoch.arrivals, engine::DepartingIds(epoch, engine_tickets));
+    engine_tickets.insert(engine_tickets.end(), result.tickets.begin(),
+                          result.tickets.end());
   }
   eng.WaitIdle();
 
@@ -212,8 +198,8 @@ TEST(ShardCheckpointTest, FileRoundTripMatchesStreamForm) {
   const graph::Digraph g = TestNetwork(83, 20);
   const engine::ChurnTrace trace = MakeTrace(g, 4, 9);
   ShardedEngine fleet(g, FleetOptions(2, 6));
-  std::vector<FlowId64> active;
-  ReplayFleet(fleet, trace, 0, trace.epochs.size(), active);
+  std::vector<FlowId64> ids;
+  ReplayFleet(fleet, trace, 0, trace.epochs.size(), ids);
   const FleetCheckpoint cp = fleet.Checkpoint();
 
   const std::string path =
@@ -228,8 +214,8 @@ TEST(ShardCheckpointTest, RejectsCorruptInput) {
   const graph::Digraph g = TestNetwork(89, 20);
   const engine::ChurnTrace trace = MakeTrace(g, 3, 11);
   ShardedEngine fleet(g, FleetOptions(2, 6));
-  std::vector<FlowId64> active;
-  ReplayFleet(fleet, trace, 0, trace.epochs.size(), active);
+  std::vector<FlowId64> ids;
+  ReplayFleet(fleet, trace, 0, trace.epochs.size(), ids);
   const std::string good = Serialize(fleet.Checkpoint());
 
   {

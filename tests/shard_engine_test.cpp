@@ -21,6 +21,7 @@
 #include "graph/shortest_path.hpp"
 #include "obs/metrics.hpp"
 #include "shard/partition.hpp"
+#include "test_util.hpp"
 #include "topology/generators.hpp"
 
 namespace tdmd::shard {
@@ -33,55 +34,32 @@ graph::Digraph TestNetwork(std::uint64_t seed, VertexId n = 40) {
 
 engine::ChurnTrace MakeTrace(const graph::Digraph& g, std::size_t epochs,
                              std::uint64_t seed) {
-  core::ChurnModel churn;
+  engine::ChurnModel churn;
   churn.arrival_count = 6;
   churn.departure_probability = 0.3;
   return engine::BuildChurnTrace(g, churn, epochs, 0, seed);
 }
 
-/// Replays trace epochs [from, to) into the fleet, maintaining the
-/// positional active-id list the trace's departure indices refer to.
+/// Replays `trace` into the fleet, appending every issued id to `ids` (the
+/// table the trace's departure ordinals index).
 void ReplayFleet(ShardedEngine& fleet, const engine::ChurnTrace& trace,
-                 std::size_t from, std::size_t to,
-                 std::vector<FlowId64>& active) {
-  for (std::size_t e = from; e < to; ++e) {
-    const engine::ChurnEpoch& epoch = trace.epochs[e];
-    std::vector<FlowId64> departures;
-    departures.reserve(epoch.departures.size());
-    for (const std::size_t index : epoch.departures) {
-      departures.push_back(active[index]);
-    }
-    for (auto it = epoch.departures.rbegin(); it != epoch.departures.rend();
-         ++it) {
-      active.erase(active.begin() + static_cast<std::ptrdiff_t>(*it));
-    }
+                 std::vector<FlowId64>& ids) {
+  for (const engine::ChurnEpoch& epoch : trace.epochs) {
     const ShardedEngine::BatchResult result =
-        fleet.SubmitBatch(epoch.arrivals, departures);
-    active.insert(active.end(), result.flow_ids.begin(),
-                  result.flow_ids.end());
+        fleet.SubmitBatch(epoch.arrivals, engine::DepartingIds(epoch, ids));
+    ids.insert(ids.end(), result.flow_ids.begin(), result.flow_ids.end());
   }
   fleet.Drain();
 }
 
-/// Same replay against a plain engine (positional tickets).
+/// Same replay against a plain engine (a ticket table).
 void ReplayEngine(engine::Engine& eng, const engine::ChurnTrace& trace,
-                  std::size_t from, std::size_t to,
-                  std::vector<engine::FlowTicket>& active) {
-  for (std::size_t e = from; e < to; ++e) {
-    const engine::ChurnEpoch& epoch = trace.epochs[e];
-    std::vector<engine::FlowTicket> departures;
-    departures.reserve(epoch.departures.size());
-    for (const std::size_t index : epoch.departures) {
-      departures.push_back(active[index]);
-    }
-    for (auto it = epoch.departures.rbegin(); it != epoch.departures.rend();
-         ++it) {
-      active.erase(active.begin() + static_cast<std::ptrdiff_t>(*it));
-    }
-    const engine::Engine::BatchResult result =
-        eng.SubmitBatch(epoch.arrivals, departures);
-    active.insert(active.end(), result.tickets.begin(),
-                  result.tickets.end());
+                  std::vector<engine::FlowTicket>& tickets) {
+  for (const engine::ChurnEpoch& epoch : trace.epochs) {
+    const engine::Engine::BatchResult result = eng.SubmitBatch(
+        epoch.arrivals, engine::DepartingIds(epoch, tickets));
+    tickets.insert(tickets.end(), result.tickets.begin(),
+                   result.tickets.end());
   }
   eng.WaitIdle();
 }
@@ -102,8 +80,9 @@ TEST(ShardEngineTest, ExactlyOnceFlowAccounting) {
   const engine::ChurnTrace trace = MakeTrace(g, 10, 7);
   ShardedEngine fleet(g, FleetOptions(3, 9));
 
-  std::vector<FlowId64> active;
-  ReplayFleet(fleet, trace, 0, trace.epochs.size(), active);
+  std::vector<FlowId64> ids;
+  ReplayFleet(fleet, trace, ids);
+  const std::vector<FlowId64> active = test::LiveIds(trace, ids);
   ASSERT_FALSE(active.empty());
   // The workload must actually exercise cross-shard paths, or the
   // exactly-once property is vacuous.
@@ -162,8 +141,9 @@ TEST(ShardEngineTest, SingleShardMatchesPlainEngine) {
 
   ShardedEngineOptions options = FleetOptions(1, 5);
   ShardedEngine fleet(g, options);
-  std::vector<FlowId64> fleet_active;
-  ReplayFleet(fleet, trace, 0, trace.epochs.size(), fleet_active);
+  std::vector<FlowId64> fleet_ids;
+  ReplayFleet(fleet, trace, fleet_ids);
+  const std::vector<FlowId64> fleet_active = test::LiveIds(trace, fleet_ids);
 
   // The plain engine with the fleet's effective per-shard options: the
   // whole budget, synchronous, single-threaded.
@@ -172,8 +152,10 @@ TEST(ShardEngineTest, SingleShardMatchesPlainEngine) {
   plain.synchronous = true;
   plain.solver_threads = 1;
   engine::Engine eng(g, plain);
-  std::vector<engine::FlowTicket> engine_active;
-  ReplayEngine(eng, trace, 0, trace.epochs.size(), engine_active);
+  std::vector<engine::FlowTicket> engine_tickets;
+  ReplayEngine(eng, trace, engine_tickets);
+  const std::vector<engine::FlowTicket> engine_active =
+      test::LiveIds(trace, engine_tickets);
 
   ASSERT_EQ(fleet_active.size(), engine_active.size());
   const FleetSnapshot fleet_snap = fleet.Snapshot();
@@ -301,8 +283,8 @@ TEST(ShardEngineTest, FleetModeIsWorstShardMode) {
   options.engine.probe_interval_epochs = 64;
   ShardedEngine fleet(g, options);
 
-  std::vector<FlowId64> active;
-  ReplayFleet(fleet, trace, 0, trace.epochs.size(), active);
+  std::vector<FlowId64> ids;
+  ReplayFleet(fleet, trace, ids);
 
   const FleetSnapshot snapshot = fleet.Snapshot();
   engine::EngineMode worst = engine::EngineMode::kNormal;
@@ -322,8 +304,8 @@ TEST(ShardEngineTest, MetricsExposeFleetAndPerShardSeries) {
   const graph::Digraph g = TestNetwork(61);
   const engine::ChurnTrace trace = MakeTrace(g, 5, 17);
   ShardedEngine fleet(g, FleetOptions(2, 6));
-  std::vector<FlowId64> active;
-  ReplayFleet(fleet, trace, 0, trace.epochs.size(), active);
+  std::vector<FlowId64> ids;
+  ReplayFleet(fleet, trace, ids);
 
   std::ostringstream prom;
   fleet.DumpMetrics(prom, obs::MetricsFormat::kPrometheus);

@@ -25,6 +25,7 @@
 #include "faults/faults.hpp"
 #include "io/text_format.hpp"
 #include "shard/fleet_io.hpp"
+#include "test_util.hpp"
 #include "topology/generators.hpp"
 
 namespace tdmd::shard {
@@ -37,30 +38,21 @@ graph::Digraph TestNetwork(std::uint64_t seed, VertexId n = 30) {
 
 engine::ChurnTrace MakeTrace(const graph::Digraph& g, std::size_t epochs,
                              std::uint64_t seed) {
-  core::ChurnModel churn;
+  engine::ChurnModel churn;
   churn.arrival_count = 6;
   churn.departure_probability = 0.3;
   return engine::BuildChurnTrace(g, churn, epochs, 0, seed);
 }
 
 /// One epoch of trace churn; does NOT drain (callers pick their own
-/// quiesce points — that is what these tests are about).
+/// quiesce points — that is what these tests are about).  `ids` is the
+/// table the trace's departure ordinals index.
 void SubmitEpoch(ShardedEngine& fleet, const engine::ChurnTrace& trace,
-                 std::size_t e, std::vector<FlowId64>& active) {
+                 std::size_t e, std::vector<FlowId64>& ids) {
   const engine::ChurnEpoch& epoch = trace.epochs[e];
-  std::vector<FlowId64> departures;
-  departures.reserve(epoch.departures.size());
-  for (const std::size_t index : epoch.departures) {
-    departures.push_back(active[index]);
-  }
-  for (auto it = epoch.departures.rbegin(); it != epoch.departures.rend();
-       ++it) {
-    active.erase(active.begin() + static_cast<std::ptrdiff_t>(*it));
-  }
   const ShardedEngine::BatchResult result =
-      fleet.SubmitBatch(epoch.arrivals, departures);
-  active.insert(active.end(), result.flow_ids.begin(),
-                result.flow_ids.end());
+      fleet.SubmitBatch(epoch.arrivals, engine::DepartingIds(epoch, ids));
+  ids.insert(ids.end(), result.flow_ids.begin(), result.flow_ids.end());
 }
 
 ShardedEngineOptions SupervisedOptions(std::size_t shards,
@@ -90,14 +82,15 @@ std::string RunWithCrash(const graph::Digraph& g,
                          std::size_t crash_epoch, std::size_t crash_shard,
                          FleetStats* stats_out = nullptr) {
   ShardedEngine fleet(g, options);
-  std::vector<FlowId64> active;
+  std::vector<FlowId64> ids;
   for (std::size_t e = 0; e < trace.epochs.size(); ++e) {
     if (crash_epoch != 0 && e + 1 == crash_epoch) {
       fleet.CrashShard(crash_shard);
     }
-    SubmitEpoch(fleet, trace, e, active);
+    SubmitEpoch(fleet, trace, e, ids);
   }
   const FleetCheckpoint cp = fleet.Checkpoint();  // drains + supervises
+  const std::vector<FlowId64> active = test::LiveIds(trace, ids);
   EXPECT_EQ(fleet.fleet_state(), FleetState::kNormal);
   EXPECT_EQ(cp.flows.size(), active.size());
   if (stats_out != nullptr) *stats_out = fleet.stats();
@@ -149,10 +142,10 @@ TEST(ShardSupervisorTest, RepeatedCrashesOfTheSameShardRecover) {
       RunWithCrash(g, trace, options, 0, 0);
 
   ShardedEngine fleet(g, options);
-  std::vector<FlowId64> active;
+  std::vector<FlowId64> ids;
   for (std::size_t e = 0; e < trace.epochs.size(); ++e) {
     if (e == 2 || e == 6) fleet.CrashShard(1);
-    SubmitEpoch(fleet, trace, e, active);
+    SubmitEpoch(fleet, trace, e, ids);
     // Quiesce between the crashes so they are two distinct episodes
     // rather than one doubled poison command.  (Not Snapshot(): its
     // certificate-refresh round would advance quality trackers the
@@ -184,9 +177,9 @@ TEST(ShardSupervisorTest, InjectedWorkerFaultRecoversLikeCrashShard) {
   faulty.fault_spec.at(faults::FaultSite::kShardWorker).throw_probability =
       0.1;
   ShardedEngine fleet(g, faulty);
-  std::vector<FlowId64> active;
+  std::vector<FlowId64> ids;
   for (std::size_t e = 0; e < trace.epochs.size(); ++e) {
-    SubmitEpoch(fleet, trace, e, active);
+    SubmitEpoch(fleet, trace, e, ids);
   }
   // The redo replay itself visits the worker fault site, so a recovery
   // attempt can re-crash (each attempt counts in crashes_detected and
@@ -222,8 +215,8 @@ TEST(ShardSupervisorTest, StallSurfacesAsDegradedThenClears) {
   drain.delay = std::chrono::milliseconds(300);
 
   ShardedEngine fleet(g, options);
-  std::vector<FlowId64> active;
-  SubmitEpoch(fleet, trace, 0, active);
+  std::vector<FlowId64> ids;
+  SubmitEpoch(fleet, trace, 0, ids);
 
   // Poll the supervisor while the workers sit in their injected delays.
   // Generous deadline: scheduling on a loaded single-core host can hold
@@ -246,6 +239,7 @@ TEST(ShardSupervisorTest, StallSurfacesAsDegradedThenClears) {
   EXPECT_EQ(fleet.fleet_state(), FleetState::kNormal);
   EXPECT_EQ(fleet.stats().crashes_detected, 0u);  // waited out, not killed
   const FleetSnapshot snapshot = fleet.Snapshot();
+  const std::vector<FlowId64> active = test::LiveIds(trace, ids, 1);
   EXPECT_EQ(snapshot.shards[0].active_flows + snapshot.shards[1].active_flows,
             active.size());
 }

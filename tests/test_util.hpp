@@ -2,10 +2,14 @@
 // instance builders used by property tests.
 #pragma once
 
+#include <algorithm>
+#include <cstddef>
+#include <cstdint>
 #include <vector>
 
 #include "common/rng.hpp"
 #include "core/instance.hpp"
+#include "engine/churn_trace.hpp"
 #include "graph/tree.hpp"
 #include "topology/generators.hpp"
 #include "traffic/flow.hpp"
@@ -96,6 +100,27 @@ inline core::Instance MakeRandomGeneralCase(VertexId size, double lambda,
     flows.push_back(std::move(f));
   }
   return core::Instance(std::move(g), std::move(flows), lambda);
+}
+
+/// The ids still live after replaying the first `epochs` epochs of
+/// `trace` (all of them by default): the append-only id table `ids`
+/// (indexed by arrival ordinal) without the departed ordinals, in arrival
+/// order.
+template <typename Id>
+std::vector<Id> LiveIds(const engine::ChurnTrace& trace,
+                        const std::vector<Id>& ids,
+                        std::size_t epochs = SIZE_MAX) {
+  std::vector<bool> departed(ids.size(), false);
+  for (std::size_t e = 0; e < std::min(epochs, trace.epochs.size()); ++e) {
+    for (std::size_t ordinal : trace.epochs[e].departures) {
+      departed.at(ordinal) = true;
+    }
+  }
+  std::vector<Id> live;
+  for (std::size_t i = 0; i < ids.size(); ++i) {
+    if (!departed[i]) live.push_back(ids[i]);
+  }
+  return live;
 }
 
 }  // namespace tdmd::test
