@@ -26,7 +26,7 @@ const std::int64_t* ArgParser::AddInt(const std::string& name,
                                       const std::string& help) {
   Flag& flag = Register(name, Kind::kInt, help);
   flag.int_value = def;
-  flag.default_repr = std::to_string(def);
+  flag.default_repr = ValueRepr(flag);
   return &flag.int_value;
 }
 
@@ -34,9 +34,7 @@ const double* ArgParser::AddDouble(const std::string& name, double def,
                                    const std::string& help) {
   Flag& flag = Register(name, Kind::kDouble, help);
   flag.double_value = def;
-  std::ostringstream oss;
-  oss << def;
-  flag.default_repr = oss.str();
+  flag.default_repr = ValueRepr(flag);
   return &flag.double_value;
 }
 
@@ -44,7 +42,7 @@ const bool* ArgParser::AddBool(const std::string& name, bool def,
                                const std::string& help) {
   Flag& flag = Register(name, Kind::kBool, help);
   flag.bool_value = def;
-  flag.default_repr = def ? "true" : "false";
+  flag.default_repr = ValueRepr(flag);
   return &flag.bool_value;
 }
 
@@ -53,8 +51,33 @@ const std::string* ArgParser::AddString(const std::string& name,
                                         const std::string& help) {
   Flag& flag = Register(name, Kind::kString, help);
   flag.string_value = std::move(def);
-  flag.default_repr = flag.string_value;
+  flag.default_repr = ValueRepr(flag);
   return &flag.string_value;
+}
+
+std::string ArgParser::ValueRepr(const Flag& flag) {
+  switch (flag.kind) {
+    case Kind::kInt:
+      return std::to_string(flag.int_value);
+    case Kind::kDouble: {
+      std::ostringstream oss;
+      oss << flag.double_value;
+      return oss.str();
+    }
+    case Kind::kBool:
+      return flag.bool_value ? "true" : "false";
+    case Kind::kString:
+      return flag.string_value;
+  }
+  return {};
+}
+
+bool ArgParser::IsDefault(const std::string& name) const {
+  const auto it = flags_.find(name);
+  if (it == flags_.end()) {
+    Fail("IsDefault on unregistered flag --" + name);
+  }
+  return ValueRepr(it->second) == it->second.default_repr;
 }
 
 void ArgParser::SetFromString(const std::string& name, Flag& flag,

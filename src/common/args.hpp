@@ -37,6 +37,10 @@ class ArgParser {
 
   std::string Usage() const;
 
+  /// True while a registered flag holds its default: absent from argv, or
+  /// given the default value.
+  bool IsDefault(const std::string& name) const;
+
  private:
   enum class Kind { kInt, kDouble, kBool, kString };
   struct Flag {
@@ -50,6 +54,7 @@ class ArgParser {
   };
 
   Flag& Register(const std::string& name, Kind kind, const std::string& help);
+  static std::string ValueRepr(const Flag& flag);
   void SetFromString(const std::string& name, Flag& flag,
                      const std::string& value);
   [[noreturn]] void Fail(const std::string& message) const;

@@ -4,7 +4,6 @@
 #include <cmath>
 #include <cstdio>
 #include <istream>
-#include <iterator>
 #include <map>
 #include <ostream>
 
@@ -13,10 +12,6 @@
 namespace tdmd::obs {
 
 namespace {
-
-using internal::FindNumberField;
-using internal::FindStringField;
-using internal::NextArrayObject;
 
 FleetReport Fail(const std::string& error) {
   FleetReport report;
@@ -55,81 +50,40 @@ double Quantile(const std::vector<double>& sorted, double q) {
 }  // namespace
 
 FleetReport BuildFleetReport(std::istream& is) {
-  const std::string text((std::istreambuf_iterator<char>(is)),
-                         std::istreambuf_iterator<char>());
-  const std::size_t events_key = text.find("\"traceEvents\"");
-  if (events_key == std::string::npos) {
-    return Fail("no \"traceEvents\" key — not a Chrome trace JSON file");
-  }
-  std::size_t pos = text.find('[', events_key);
-  if (pos == std::string::npos) {
-    return Fail("\"traceEvents\" is not followed by an array");
-  }
-  ++pos;
+  const ChromeTrace trace = ReadChromeTrace(is);
+  if (!trace.ok) return Fail(trace.error);
 
   FleetReport report;
+  report.num_events = trace.events.size();
   std::map<std::uint64_t, BatchChain> chains;
+  for (const ChromeEvent& event : trace.events) {
+    if (event.name == "shard-recovery") ++report.recoveries;
+    if (event.name == "shed-batch") ++report.shed_batches;
+    // Unbound events and flow records carry no args.batch.
+    if (event.batch == 0) continue;
 
-  for (;;) {
-    std::string object;
-    bool done = false;
-    if (!NextArrayObject(text, &pos, &object, &done)) {
-      return Fail("malformed traceEvents array (unbalanced object)");
-    }
-    if (done) break;
-    std::string name;
-    std::string ph;
-    double ts = 0.0;
-    if (!FindStringField(object, "name", &name) ||
-        !FindStringField(object, "ph", &ph) ||
-        !FindNumberField(object, "ts", &ts)) {
-      return Fail("trace event missing name/ph/ts: " + object);
-    }
-    double dur = 0.0;
-    if (ph == "X" && !FindNumberField(object, "dur", &dur)) {
-      return Fail("complete event missing dur: " + object);
-    }
-    ++report.num_events;
-
-    if (name == "shard-recovery") ++report.recoveries;
-    if (name == "shed-batch") ++report.shed_batches;
-
-    // Flow records ("name":"batch") carry no args.batch and fall out here
-    // along with every unbound event.
-    double batch_d = 0.0;
-    if (!FindNumberField(object, "batch", &batch_d) || batch_d <= 0.0) {
-      continue;
-    }
-    const auto batch = static_cast<std::uint64_t>(batch_d);
-    double tid = 0.0;
-    FindNumberField(object, "tid", &tid);
-
-    BatchChain& chain = chains[batch];
-    if (name == "fleet-submit") {
+    BatchChain& chain = chains[event.batch];
+    if (event.name == "fleet-submit") {
       chain.has_submit = true;
-      chain.submit_us = ts;
+      chain.submit_us = event.ts;
       continue;
     }
-    ShardChain& shard_chain = chain.by_tid[tid];
-    if (name == "queue-dwell") {
-      double arg = 0.0;
-      FindNumberField(object, "arg", &arg);
+    ShardChain& shard_chain = chain.by_tid[event.tid];
+    const double end_us = event.ts + event.dur;
+    if (event.name == "queue-dwell") {
       shard_chain.has_dwell = true;
-      shard_chain.shard = static_cast<std::uint64_t>(arg);
-      shard_chain.dwell_us += dur;
-      shard_chain.dwell_end_us = std::max(shard_chain.dwell_end_us, ts + dur);
-    } else if (name == "patch") {
+      shard_chain.shard = static_cast<std::uint64_t>(event.arg);
+      shard_chain.dwell_us += event.dur;
+      shard_chain.dwell_end_us = std::max(shard_chain.dwell_end_us, end_us);
+    } else if (event.name == "patch") {
       shard_chain.has_patch = true;
-      shard_chain.patch_end_us = std::max(shard_chain.patch_end_us, ts + dur);
-    } else if (name == "batch-adopted") {
+      shard_chain.patch_end_us = std::max(shard_chain.patch_end_us, end_us);
+    } else if (event.name == "batch-adopted") {
       shard_chain.has_adopt = true;
-      shard_chain.adopt_us = std::max(shard_chain.adopt_us, ts);
+      shard_chain.adopt_us = std::max(shard_chain.adopt_us, event.ts);
     }
   }
 
-  if (report.num_events == 0) {
-    return Fail("trace contains no events");
-  }
   if (chains.empty()) {
     return Fail(
         "trace contains no fleet-submit spans — not a fleet trace "

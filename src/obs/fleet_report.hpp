@@ -7,8 +7,9 @@
 // from the flat event list: the straggler shard is the one whose adoption
 // lands last, the dominant stage is the longest leg of that shard's chain,
 // and the queue-dwell share says how much of the end-to-end latency was
-// spent waiting in MPSC queues rather than solving.  Parses the same
-// narrow JSON subset as trace_report.hpp (shared internal:: helpers).
+// spent waiting in MPSC queues rather than solving.  A fold over the
+// events of ReadChromeTrace (obs/trace_report.hpp), the reader
+// trace-report and quality-report share.
 
 #include <cstddef>
 #include <cstdint>
@@ -66,11 +67,9 @@ struct FleetReport {
 
 inline constexpr std::size_t kMaxDisconnectedIds = 8;
 
-/// Fails (ok=false, one-line diagnostic) on anything that is not a
-/// well-formed fleet trace: missing "traceEvents", truncated or unbalanced
-/// objects, events missing name/ph/ts, an empty event array, or a trace
-/// with no fleet-submit spans (a single-engine trace is rejected rather
-/// than reported as "0 batches, all fine").
+/// Fails (ok=false, one-line diagnostic) on anything ReadChromeTrace
+/// rejects, and on a trace with no fleet-submit spans (a single-engine
+/// trace is rejected rather than reported as "0 batches, all fine").
 FleetReport BuildFleetReport(std::istream& is);
 
 /// Prints the connected fraction, e2e quantiles, dominant-stage split,

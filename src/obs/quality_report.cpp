@@ -3,8 +3,9 @@
 #include <algorithm>
 #include <cstdio>
 #include <istream>
-#include <iterator>
 #include <ostream>
+#include <string>
+#include <utility>
 
 #include "obs/quality.hpp"
 #include "obs/timeseries.hpp"
@@ -20,85 +21,81 @@ QualityReport Fail(const std::string& error) {
   return report;
 }
 
+/// The summary both sources share: min/mean/last ratio, below-floor
+/// count and the series sizes, folded over the points in order.
+QualityReport Summarize(QualityReport report) {
+  report.num_samples = report.points.size();
+  report.num_alert_events = report.alerts.size();
+  report.ok = true;
+  if (report.points.empty()) return report;
+  double ratio_sum = 0.0;
+  report.min_ratio = report.points.front().ratio;
+  for (const QualityReportPoint& point : report.points) {
+    ratio_sum += point.ratio;
+    report.min_ratio = std::min(report.min_ratio, point.ratio);
+    if (point.ratio < kQualityRatioFloor) ++report.below_floor;
+  }
+  report.mean_ratio = ratio_sum / static_cast<double>(report.num_samples);
+  report.last_ratio = report.points.back().ratio;
+  return report;
+}
+
 }  // namespace
 
 QualityReport BuildQualityReport(std::istream& is) {
-  const std::string text((std::istreambuf_iterator<char>(is)),
-                         std::istreambuf_iterator<char>());
-  const std::size_t events_key = text.find("\"traceEvents\"");
-  if (events_key == std::string::npos) {
-    return Fail("no \"traceEvents\" key — not a Chrome trace JSON file");
-  }
-  std::size_t pos = text.find('[', events_key);
-  if (pos == std::string::npos) {
-    return Fail("\"traceEvents\" is not followed by an array");
-  }
-  ++pos;
+  const ChromeTrace trace = ReadChromeTrace(is);
+  if (!trace.ok) return Fail(trace.error);
 
   QualityReport report;
-  bool saw_event = false;
-  double ratio_sum = 0.0;
-  for (;;) {
-    std::string object;
-    bool done = false;
-    if (!internal::NextArrayObject(text, &pos, &object, &done)) {
-      return Fail("malformed traceEvents array (unbalanced object)");
+  for (const ChromeEvent& event : trace.events) {
+    if (event.name == "fleet-submit") {
+      return Fail("trace contains fleet-submit spans — quality-report "
+                  "reads single-engine traces (use fleet-report)");
     }
-    if (done) break;
-    std::string name;
-    std::string ph;
-    double ts = 0.0;
-    if (!internal::FindStringField(object, "name", &name) ||
-        !internal::FindStringField(object, "ph", &ph) ||
-        !internal::FindNumberField(object, "ts", &ts)) {
-      return Fail("trace event missing name/ph/ts: " + object);
+    if (event.name != "quality-sample" && event.name != "quality-alert") {
+      continue;
     }
-    saw_event = true;
-    if (name != "quality-sample" && name != "quality-alert") continue;
-    double arg_value = 0.0;
-    if (!internal::FindNumberField(object, "arg", &arg_value) ||
-        arg_value < 0.0) {
-      return Fail("quality event missing args.arg: " + object);
+    if (!event.has_arg || event.arg < 0.0) {
+      return Fail("quality event missing args.arg: " + event.name);
     }
     // Packed args stay below 2^53 for any epoch count a trace can hold,
     // so the double round-trip through JSON is exact.
-    const auto arg = static_cast<std::uint64_t>(arg_value);
-    if (name == "quality-sample") {
+    const auto arg = static_cast<std::uint64_t>(event.arg);
+    if (event.name == "quality-sample") {
       QualityReportPoint point;
       UnpackQualitySampleArg(arg, &point.epoch, &point.ratio);
-      ratio_sum += point.ratio;
-      if (point.ratio < kQualityRatioFloor) ++report.below_floor;
-      report.min_ratio = report.points.empty()
-                             ? point.ratio
-                             : std::min(report.min_ratio, point.ratio);
-      report.last_ratio = point.ratio;
       report.points.push_back(point);
     } else {
       QualityAlert alert;
       if (!UnpackQualityAlertArg(arg, &alert)) {
-        return Fail("quality-alert event with unknown kind: " + object);
+        return Fail("quality-alert event with unknown kind: arg " +
+                    std::to_string(arg));
       }
-      QualityReportAlertRow row;
-      row.kind = QualityAlertKindName(alert.kind);
-      row.raised = alert.raised;
-      row.epoch = alert.epoch;
-      report.alerts.push_back(row);
+      report.alerts.push_back(QualityReportAlertRow{
+          QualityAlertKindName(alert.kind), alert.raised, alert.epoch});
     }
-  }
-  if (!saw_event) {
-    return Fail("trace contains no events");
   }
   if (report.points.empty()) {
     return Fail(
         "trace contains no quality-sample events — was the serve traced "
         "with quality sampling enabled?");
   }
-  report.num_samples = report.points.size();
-  report.num_alert_events = report.alerts.size();
-  report.mean_ratio =
-      ratio_sum / static_cast<double>(report.points.size());
-  report.ok = true;
-  return report;
+  return Summarize(std::move(report));
+}
+
+QualityReport BuildQualityReport(const QualityTimelineSnapshot& timeline) {
+  QualityReport report;
+  report.points.reserve(timeline.samples.size());
+  for (const QualitySample& sample : timeline.samples) {
+    report.points.push_back(
+        QualityReportPoint{sample.epoch, sample.realized_ratio});
+  }
+  report.alerts.reserve(timeline.alerts.size());
+  for (const QualityAlert& alert : timeline.alerts) {
+    report.alerts.push_back(QualityReportAlertRow{
+        QualityAlertKindName(alert.kind), alert.raised, alert.epoch});
+  }
+  return Summarize(std::move(report));
 }
 
 void WriteQualityReport(std::ostream& os, const QualityReport& report) {

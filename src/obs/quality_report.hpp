@@ -4,11 +4,11 @@
 //
 // The engine emits one kQualitySample instant per epoch and one
 // kQualityAlert instant per alert edge, each with a packed arg
-// (obs/timeseries.hpp).  BuildQualityReport re-reads a trace file written
-// by WriteChromeTrace / serve-trace --trace-out and rebuilds the
-// epoch/ratio series and the fired alerts — the `tdmd_cli quality-report`
-// subcommand.  Like BuildTraceReport it rejects malformed input with a
-// one-line diagnostic instead of silently reporting zeros.
+// (obs/timeseries.hpp).  BuildQualityReport folds the events of
+// ReadChromeTrace (obs/trace_report.hpp) back into the epoch/ratio series
+// and the fired alerts — the `tdmd_cli quality-report` subcommand.  The
+// timeline overload summarizes an engine's own timeline with the same
+// fold (serve-trace --quality-out).
 
 #include <cstddef>
 #include <cstdint>
@@ -17,6 +17,8 @@
 #include <vector>
 
 namespace tdmd::obs {
+
+struct QualityTimelineSnapshot;
 
 struct QualityReportPoint {
   std::uint64_t epoch = 0;
@@ -43,9 +45,13 @@ struct QualityReport {
   std::vector<QualityReportAlertRow> alerts;  // trace order
 };
 
-/// Fails on non-trace input (same diagnostics as BuildTraceReport) and on
-/// traces carrying no quality-sample events.
+/// Fails on non-trace input (ReadChromeTrace's diagnostics), on fleet
+/// traces (their shards' series would interleave into one timeline), and
+/// on traces carrying no quality-sample events.
 QualityReport BuildQualityReport(std::istream& is);
+
+/// Never fails; an empty timeline reports zero samples.
+QualityReport BuildQualityReport(const QualityTimelineSnapshot& timeline);
 
 /// Prints the summary, the alert list and the epoch/ratio series.
 void WriteQualityReport(std::ostream& os, const QualityReport& report);

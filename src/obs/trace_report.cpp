@@ -8,51 +8,49 @@
 #include <map>
 #include <ostream>
 #include <set>
+#include <utility>
 
 namespace tdmd::obs {
 
-namespace internal {
+namespace {
 
+// Narrow JSON helpers for the flat-object subset WriteChromeTrace emits.
+
+/// Index just past the colon of `"key":` in a flat JSON object, or npos.
+std::size_t ValueStart(const std::string& object, const std::string& key) {
+  const std::size_t pos = object.find("\"" + key + "\"");
+  if (pos == std::string::npos) return pos;
+  const std::size_t colon = object.find(':', pos + key.size() + 2);
+  return colon == std::string::npos ? colon : colon + 1;
+}
+
+/// Extracts the string value of `"key": "..."`.  Returns false if the key
+/// is absent.  Escapes are left untouched — the trace writer only emits
+/// phase names, which contain none.
 bool FindStringField(const std::string& object, const std::string& key,
                      std::string* value) {
-  const std::string needle = "\"" + key + "\"";
-  std::size_t pos = object.find(needle);
-  if (pos == std::string::npos) {
-    return false;
-  }
-  pos = object.find(':', pos + needle.size());
-  if (pos == std::string::npos) {
-    return false;
-  }
-  pos = object.find('"', pos + 1);
-  if (pos == std::string::npos) {
-    return false;
-  }
-  const std::size_t end = object.find('"', pos + 1);
-  if (end == std::string::npos) {
-    return false;
-  }
-  *value = object.substr(pos + 1, end - pos - 1);
+  const std::size_t start = ValueStart(object, key);
+  if (start == std::string::npos) return false;
+  const std::size_t open = object.find('"', start);
+  if (open == std::string::npos) return false;
+  const std::size_t close = object.find('"', open + 1);
+  if (close == std::string::npos) return false;
+  *value = object.substr(open + 1, close - open - 1);
   return true;
 }
 
 bool FindNumberField(const std::string& object, const std::string& key,
                      double* value) {
-  const std::string needle = "\"" + key + "\"";
-  const std::size_t pos = object.find(needle);
-  if (pos == std::string::npos) {
-    return false;
-  }
-  const std::size_t colon = object.find(':', pos + needle.size());
-  if (colon == std::string::npos) {
-    return false;
-  }
-  const char* start = object.c_str() + colon + 1;
+  const std::size_t start = ValueStart(object, key);
+  if (start == std::string::npos) return false;
+  const char* begin = object.c_str() + start;
   char* end = nullptr;
-  *value = std::strtod(start, &end);
-  return end != start;
+  *value = std::strtod(begin, &end);
+  return end != begin;
 }
 
+/// Splits the top-level objects of a JSON array, honoring nested braces
+/// and quoted strings.  `pos` must point just past the opening '['.
 bool NextArrayObject(const std::string& text, std::size_t* pos,
                      std::string* object, bool* done) {
   std::size_t i = *pos;
@@ -66,9 +64,7 @@ bool NextArrayObject(const std::string& text, std::size_t* pos,
     *done = true;
     return true;
   }
-  if (i >= text.size() || text[i] != '{') {
-    return false;
-  }
+  if (i >= text.size() || text[i] != '{') return false;
   const std::size_t begin = i;
   int depth = 0;
   bool in_string = false;
@@ -99,113 +95,96 @@ bool NextArrayObject(const std::string& text, std::size_t* pos,
   return false;
 }
 
-}  // namespace internal
-
-namespace {
-
-using internal::FindNumberField;
-using internal::FindStringField;
-using internal::NextArrayObject;
-
-TraceReport Fail(const std::string& error) {
-  TraceReport report;
-  report.error = error;
-  return report;
+ChromeTrace FailRead(const std::string& error) {
+  ChromeTrace trace;
+  trace.error = error;
+  return trace;
 }
-
-struct PhaseAccumulator {
-  bool is_span = false;
-  std::uint64_t count = 0;
-  double total_us = 0.0;
-  double max_us = 0.0;
-};
 
 }  // namespace
 
-TraceReport BuildTraceReport(std::istream& is) {
+ChromeTrace ReadChromeTrace(std::istream& is) {
   const std::string text((std::istreambuf_iterator<char>(is)),
                          std::istreambuf_iterator<char>());
   const std::size_t events_key = text.find("\"traceEvents\"");
   if (events_key == std::string::npos) {
-    return Fail("no \"traceEvents\" key — not a Chrome trace JSON file");
+    return FailRead("no \"traceEvents\" key — not a Chrome trace JSON file");
   }
   std::size_t pos = text.find('[', events_key);
   if (pos == std::string::npos) {
-    return Fail("\"traceEvents\" is not followed by an array");
+    return FailRead("\"traceEvents\" is not followed by an array");
   }
   ++pos;
 
-  TraceReport report;
-  std::map<std::string, PhaseAccumulator> phases;
-  std::set<double> tids;
-  double min_ts = 0.0;
-  double max_end = 0.0;
-  bool saw_event = false;
-
+  ChromeTrace trace;
   for (;;) {
     std::string object;
     bool done = false;
     if (!NextArrayObject(text, &pos, &object, &done)) {
-      return Fail("malformed traceEvents array (unbalanced object)");
+      return FailRead("malformed traceEvents array (unbalanced object)");
     }
-    if (done) {
-      break;
+    if (done) break;
+    ChromeEvent event;
+    if (!FindStringField(object, "name", &event.name) ||
+        !FindStringField(object, "ph", &event.ph) ||
+        !FindNumberField(object, "ts", &event.ts)) {
+      return FailRead("trace event missing name/ph/ts: " + object);
     }
-    std::string name;
-    std::string ph;
-    double ts = 0.0;
-    if (!FindStringField(object, "name", &name) ||
-        !FindStringField(object, "ph", &ph) ||
-        !FindNumberField(object, "ts", &ts)) {
-      return Fail("trace event missing name/ph/ts: " + object);
+    if (event.ph == "X" && !FindNumberField(object, "dur", &event.dur)) {
+      return FailRead("complete event missing dur: " + object);
     }
-    double dur = 0.0;
-    const bool is_span = ph == "X";
-    if (is_span && !FindNumberField(object, "dur", &dur)) {
-      return Fail("complete event missing dur: " + object);
+    event.has_tid = FindNumberField(object, "tid", &event.tid);
+    // arg and batch live in the "args" object; flow records have none.
+    const std::size_t args_key = object.find("\"args\"");
+    if (args_key != std::string::npos) {
+      const std::string args = object.substr(args_key);
+      event.has_arg = FindNumberField(args, "arg", &event.arg);
+      double batch = 0.0;
+      if (FindNumberField(args, "batch", &batch) && batch > 0.0) {
+        event.batch = static_cast<std::uint64_t>(batch);
+      }
     }
-    double tid = 0.0;
-    if (FindNumberField(object, "tid", &tid)) {
-      tids.insert(tid);
-    }
+    trace.events.push_back(std::move(event));
+  }
+  if (trace.events.empty()) {
+    return FailRead("trace contains no events");
+  }
+  trace.ok = true;
+  return trace;
+}
 
-    PhaseAccumulator& acc = phases[name];
-    acc.is_span = acc.is_span || is_span;
-    ++acc.count;
-    acc.total_us += dur;
-    acc.max_us = std::max(acc.max_us, dur);
-
-    min_ts = saw_event ? std::min(min_ts, ts) : ts;
-    max_end = std::max(max_end, ts + dur);
-    saw_event = true;
-    ++report.num_events;
+TraceReport BuildTraceReport(std::istream& is) {
+  const ChromeTrace trace = ReadChromeTrace(is);
+  TraceReport report;
+  if (!trace.ok) {
+    report.error = trace.error;
+    return report;
+  }
+  std::map<std::string, TraceReportRow> phases;
+  std::set<double> tids;
+  double min_ts = trace.events.front().ts;
+  double max_end = 0.0;
+  for (const ChromeEvent& event : trace.events) {
+    if (event.has_tid) tids.insert(event.tid);
+    TraceReportRow& row = phases[event.name];
+    row.name = event.name;
+    row.is_span = row.is_span || event.ph == "X";
+    ++row.count;
+    row.total_us += event.dur;
+    row.max_us = std::max(row.max_us, event.dur);
+    min_ts = std::min(min_ts, event.ts);
+    max_end = std::max(max_end, event.ts + event.dur);
   }
 
-  if (!saw_event) {
-    return Fail("trace contains no events");
-  }
+  report.num_events = trace.events.size();
   report.num_threads = tids.size();
   report.wall_us = max_end - min_ts;
-  for (const auto& [name, acc] : phases) {
-    TraceReportRow row;
-    row.name = name;
-    row.is_span = acc.is_span;
-    row.count = acc.count;
-    row.total_us = acc.total_us;
-    row.max_us = acc.max_us;
-    report.rows.push_back(row);
-  }
+  for (auto& entry : phases) report.rows.push_back(std::move(entry.second));
   std::sort(report.rows.begin(), report.rows.end(),
             [](const TraceReportRow& a, const TraceReportRow& b) {
-              if (a.is_span != b.is_span) {
-                return a.is_span;  // spans first
-              }
-              if (a.is_span) {
-                return a.total_us > b.total_us;
-              }
-              if (a.count != b.count) {
-                return a.count > b.count;
-              }
+              if (a.is_span != b.is_span) return a.is_span;  // spans first
+              if (a.is_span) return a.total_us > b.total_us;
+              if (a.count != b.count) return a.count > b.count;
               return a.name < b.name;
             });
   report.ok = true;

@@ -1,10 +1,10 @@
 #pragma once
 
-// Per-phase breakdown of a Chrome trace_event JSON file, as written by
-// WriteChromeTrace / serve-trace --trace-out.  BuildTraceReport parses the
-// narrow JSON subset those writers produce (a "traceEvents" array of flat
-// objects) without pulling in a general JSON dependency, tolerating
-// arbitrary key order inside each event object.
+// The one Chrome-trace reader, plus the per-phase breakdown built on it.
+// ReadChromeTrace parses the narrow JSON subset WriteChromeTrace emits (a
+// traceEvents array of flat objects, any key order) without a JSON
+// dependency.  trace-report (BuildTraceReport), quality-report and
+// fleet-report are folds over its events, so they share its diagnostics.
 
 #include <cstddef>
 #include <cstdint>
@@ -13,6 +13,34 @@
 #include <vector>
 
 namespace tdmd::obs {
+
+/// One trace event as the reader sees it: the fields every report needs,
+/// with has-flags where the writer may omit a field.
+struct ChromeEvent {
+  std::string name;
+  std::string ph;
+  double ts = 0.0;
+  double dur = 0.0;  // required on "X" spans; 0 otherwise
+  bool has_tid = false;
+  double tid = 0.0;
+  bool has_arg = false;
+  double arg = 0.0;  // args.arg
+  std::uint64_t batch = 0;  // args.batch; 0 = unbound, or a flow record
+};
+
+struct ChromeTrace {
+  bool ok = false;
+  std::string error;
+  std::vector<ChromeEvent> events;  // file order
+};
+
+/// Fails (ok=false, one-line diagnostic) on anything that is not a
+/// well-formed non-empty Chrome trace: no traceEvents array, truncated
+/// or unbalanced objects, events missing name/ph/ts, "X" spans missing
+/// dur, or an empty event array (a trace with zero events reports
+/// nothing and is treated as a broken capture rather than silently
+/// printing zeros).
+ChromeTrace ReadChromeTrace(std::istream& is);
 
 struct TraceReportRow {
   std::string name;
@@ -32,37 +60,11 @@ struct TraceReport {
   std::vector<TraceReportRow> rows;
 };
 
-/// Fails (ok=false, one-line diagnostic) on anything that is not a
-/// well-formed non-empty Chrome trace: missing "traceEvents", truncated
-/// or unbalanced objects, events missing name/ph/ts, or an empty event
-/// array (a trace with zero events reports nothing and is treated as a
-/// broken capture rather than silently printing zeros).
+/// Fails with ReadChromeTrace's diagnostics.
 TraceReport BuildTraceReport(std::istream& is);
 
 /// Prints the per-phase table: count, total, mean, max, and share of wall
 /// time for spans; count for instants.
 void WriteTraceReport(std::ostream& os, const TraceReport& report);
-
-namespace internal {
-
-// Narrow JSON helpers shared by BuildTraceReport and BuildQualityReport
-// (obs/quality_report.hpp); they parse exactly the flat-object subset
-// WriteChromeTrace emits, tolerating arbitrary key order.
-
-/// Extracts the string value of `"key": "..."` from a flat JSON object.
-/// Returns false if the key is absent.  Escapes are left untouched — the
-/// trace writer only emits phase names, which contain none.
-bool FindStringField(const std::string& object, const std::string& key,
-                     std::string* value);
-
-bool FindNumberField(const std::string& object, const std::string& key,
-                     double* value);
-
-/// Splits the top-level objects of a JSON array, honoring nested braces
-/// and quoted strings.  `pos` must point just past the opening '['.
-bool NextArrayObject(const std::string& text, std::size_t* pos,
-                     std::string* object, bool* done);
-
-}  // namespace internal
 
 }  // namespace tdmd::obs

@@ -16,34 +16,48 @@
 //       prints per-arc occupancy.
 //
 //   tdmd_cli serve-trace --instance=instance.tdmd --k=8 --epochs=20
-//            [--seed=1] [--async --threads=2]
-//            [--fault-seed=7 --fault-throw-p=0.1 --deadline-ms=50]
+//            [--seed=1] [--arrivals=5 --departure-probability=0.15]
+//            [--move-threshold=0 --resolve-churn-fraction=0]
+//            [--fault-seed=7 --fault-throw-p=0.1 --fault-delay-p=0
+//             --fault-delay-ms=1 --fault-cancel-p=0]
 //            [--checkpoint-every=5 --checkpoint-out=engine.ckpt]
 //            [--restore=engine.ckpt]
 //            [--metrics-out=metrics.prom] [--trace-out=trace.json]
-//            [--quality-out=quality.txt]
 //            [--prof-out=profile.collapsed --prof-hz=997]
 //       Feeds the instance's flows to the online placement engine, then
 //       serves a seeded churn trace through it epoch by epoch, printing
 //       each published snapshot and the engine counters.  Optional fault
-//       injection, re-solve deadlines, periodic checkpoints and restart
-//       from a checkpoint (DESIGN.md Section 9).  --metrics-out writes
-//       the counters + latency quantiles as Prometheus text (and the
-//       same data as <path>.json); --trace-out records structured spans
-//       into a Chrome trace_event JSON (plus a plain-text <path>.log);
-//       --quality-out writes the engine's quality timeline (realized
-//       ratio per epoch + fired regression alerts, DESIGN.md Section 11).
+//       injection, periodic checkpoints and restart from a checkpoint
+//       (DESIGN.md Section 9).  --metrics-out writes the counters +
+//       latency quantiles as Prometheus text (and the same data as
+//       <path>.json); --trace-out records structured spans into a Chrome
+//       trace_event JSON (plus a plain-text <path>.log).  The flags above
+//       apply to both serve paths; each path below rejects, with exit 1,
+//       a non-default flag that belongs to the other one.
+//
+//       Single engine only (--shards=1, the default):
+//            [--async --threads=2] [--deadline-ms=50]
+//            [--quality-out=quality.txt]
+//       --deadline-ms bounds each re-solve attempt; --quality-out writes
+//       the engine's quality timeline (realized ratio per epoch + fired
+//       regression alerts, DESIGN.md Section 11).
 //
 //   tdmd_cli serve-trace ... --shards=4 [--partition=bfs|spatial]
+//            [--supervise] [--queue-depth=64 --backpressure-deadline-ms=20]
+//            [--kill-shard-at=5 --kill-shard=2]
 //       Same churn replay, served by the sharded multi-engine fleet
 //       (DESIGN.md Section 13): the topology is partitioned
 //       deterministically, every flow is pinned to one owner shard, and
 //       the global budget k is reallocated across shards on epoch
 //       boundaries.  --checkpoint-out/--restore switch to the
-//       `shardfleet v1` container format; --metrics-out dumps the merged
-//       fleet exposition (feed it to shard-report); --trace-out records
-//       the fleet's causal trace — every batch's spans share a batch id
-//       and a flow-event chain (feed it to fleet-report).
+//       `shardfleet v1` container format, and a restore whose shard
+//       count, budget, partitioner or seed disagree with the flags exits
+//       1; --metrics-out dumps the merged fleet exposition (feed it to
+//       shard-report); --trace-out records the fleet's causal trace —
+//       every batch's spans share a batch id and a flow-event chain (feed
+//       it to fleet-report).  The flags shown here are fleet only: the
+//       partitioner, supervision (DESIGN.md Section 14), bounded queues
+//       with shedding, and the crash drill (which implies --supervise).
 //
 //   tdmd_cli shard-report --metrics=fleet.prom
 //       Summarizes a sharded --metrics-out dump: per-shard budget split,
@@ -79,6 +93,7 @@
 #include <chrono>
 #include <cstdio>
 #include <fstream>
+#include <functional>
 #include <iostream>
 #include <map>
 #include <optional>
@@ -345,38 +360,224 @@ int Viz(int argc, char** argv) {
   return 0;
 }
 
-/// Everything serve-trace needs to hand the sharded path, pre-parsed.
-struct ShardedServeParams {
-  std::size_t shards = 1;
-  std::string partition = "bfs";
-  std::size_t k = 8;
-  std::size_t epochs = 20;
-  std::size_t arrival_count = 5;
-  double departure_probability = 0.15;
-  double move_threshold = 0.0;
-  double resolve_churn_fraction = 0.0;
-  std::uint64_t seed = 1;
-  std::uint64_t fault_seed = 0;
-  double fault_throw_p = 0.0;
-  double fault_delay_p = 0.0;
-  int fault_delay_ms = 1;
-  double fault_cancel_p = 0.0;
-  std::size_t checkpoint_every = 0;
-  std::string checkpoint_out;
-  std::string restore;
-  std::string metrics_out;
-  bool supervise = false;
-  std::size_t queue_depth = 0;
-  int backpressure_deadline_ms = 20;
-  std::size_t kill_shard_at = 0;  // 1-based epoch; 0 = never
-  std::size_t kill_shard = 0;
-  std::string trace_out;
-  std::string prof_out;
-  std::uint32_t prof_hz = obs::Profiler::kDefaultSampleHz;
+/// serve-trace's flags, registered once and read by both serve paths.
+/// Each path rejects the other's non-default flags (RejectIgnoredFlags)
+/// instead of silently dropping them.
+struct ServeFlags {
+  ServeFlags(int argc, char** argv) { parser.Parse(argc, argv); }
+  ServeFlags(const ServeFlags&) = delete;
+  ServeFlags& operator=(const ServeFlags&) = delete;
+
+  ArgParser parser{"tdmd_cli serve-trace",
+                   "serve a seeded churn trace through the online engine"};
+  // Both paths.
+  const std::string* instance = parser.AddString(
+      "instance", "instance.tdmd",
+      "instance file: network + the flows live before the first epoch");
+  const std::int64_t* k = parser.AddInt("k", 8, "middlebox budget");
+  const std::int64_t* epochs =
+      parser.AddInt("epochs", 20, "churn epochs to serve");
+  const std::int64_t* arrivals =
+      parser.AddInt("arrivals", 5, "flow arrivals per epoch");
+  const double* departure_probability = parser.AddDouble(
+      "departure-probability", 0.15,
+      "per-flow departure probability per epoch");
+  const double* move_threshold = parser.AddDouble(
+      "move-threshold", 0.0,
+      "hysteresis: min bandwidth saving per moved middlebox before a "
+      "re-solve is adopted");
+  const std::int64_t* shards = parser.AddInt(
+      "shards", 1,
+      "partition the topology across N engine shards behind a "
+      "budget-allocating coordinator (1 = classic single engine)");
+  const double* resolve_churn_fraction = parser.AddDouble(
+      "resolve-churn-fraction", 0.0,
+      "defer full re-solves until pending churn exceeds this fraction of "
+      "active flows (0 = re-solve every epoch)");
+  const std::int64_t* seed = parser.AddInt(
+      "seed", 1,
+      "rng seed; the churn trace derives deterministically from it via "
+      "the generator bench/engine_churn shares, so equal seeds replay "
+      "identical workloads everywhere");
+  const std::int64_t* fault_seed = parser.AddInt(
+      "fault-seed", 0,
+      "seed for deterministic fault injection (DESIGN.md Section 9.1); "
+      "0 disables the injector entirely");
+  const double* fault_throw_p = parser.AddDouble(
+      "fault-throw-p", 0.0, "per-visit injected-exception probability");
+  const double* fault_delay_p = parser.AddDouble(
+      "fault-delay-p", 0.0, "per-visit injected-stall probability");
+  const std::int64_t* fault_delay_ms = parser.AddInt(
+      "fault-delay-ms", 1, "injected stall length in milliseconds");
+  const double* fault_cancel_p = parser.AddDouble(
+      "fault-cancel-p", 0.0, "per-visit injected-cancellation probability");
+  const std::int64_t* checkpoint_every = parser.AddInt(
+      "checkpoint-every", 0,
+      "write an engine checkpoint every N epochs (0 disables)");
+  const std::string* checkpoint_out = parser.AddString(
+      "checkpoint-out", "engine.ckpt",
+      "engine-checkpoint v1 file rewritten by --checkpoint-every");
+  const std::string* restore = parser.AddString(
+      "restore", "",
+      "restore the engine from this checkpoint instead of replaying the "
+      "instance's flow set as a prefill batch");
+  const std::string* metrics_out = parser.AddString(
+      "metrics-out", "",
+      "write final engine metrics (counters + latency quantiles) as "
+      "Prometheus text here and as JSON to <path>.json");
+  const std::string* trace_out = parser.AddString(
+      "trace-out", "",
+      "record structured spans and write a Chrome trace_event JSON here "
+      "(load via chrome://tracing or feed to tdmd_cli trace-report; "
+      "sharded runs additionally feed tdmd_cli fleet-report); a "
+      "plain-text event log lands next to it as <path>.log");
+  const std::string* prof_out = parser.AddString(
+      "prof-out", "",
+      "sample the run with the in-process CPU profiler and write "
+      "collapsed stacks here (feed to tdmd_cli prof-report or "
+      "flamegraph.pl)");
+  const std::int64_t* prof_hz = parser.AddInt(
+      "prof-hz", static_cast<int>(obs::Profiler::kDefaultSampleHz),
+      "profiler sample rate in Hz (with --prof-out)");
+  // Single engine only (--shards=1).
+  const bool* async = parser.AddBool(
+      "async", false, "run re-solves on a worker pool instead of inline");
+  const std::int64_t* threads =
+      parser.AddInt("threads", 2, "worker threads (with --async)");
+  const std::int64_t* deadline_ms = parser.AddInt(
+      "deadline-ms", 0,
+      "per-attempt re-solve deadline in milliseconds; an expired attempt "
+      "returns its greedy prefix as a degraded answer (0 = none)");
+  const std::string* quality_out = parser.AddString(
+      "quality-out", "",
+      "write the engine's quality timeline (per-epoch realized ratio vs "
+      "the 1-1/e floor, plus fired regression alerts) here");
+  // Fleet only (--shards>1).
+  const std::string* partition = parser.AddString(
+      "partition", "bfs",
+      "shard partitioner with --shards>1: bfs (region growing from "
+      "farthest-point seeds) or spatial (median cuts over coordinates)");
+  const bool* supervise = parser.AddBool(
+      "supervise", false,
+      "with --shards>1: heartbeat the shard workers, quarantine crashed "
+      "or stalled shards and auto-recover them from per-shard recovery "
+      "checkpoints plus redo-ring replay (DESIGN.md Section 14)");
+  const std::int64_t* queue_depth = parser.AddInt(
+      "queue-depth", 0,
+      "with --shards>1: per-shard command-queue high-water mark; past it "
+      "SubmitBatch blocks briefly, then sheds the batch to deferred-"
+      "re-solve admission (0 = unbounded, never shed)");
+  const std::int64_t* backpressure_deadline_ms = parser.AddInt(
+      "backpressure-deadline-ms", 20,
+      "how long a full queue blocks the submitter before shedding");
+  const std::int64_t* kill_shard_at = parser.AddInt(
+      "kill-shard-at", 0,
+      "crash drill: inject a shard crash just before serving this epoch "
+      "(1-based; 0 = never; implies --supervise)");
+  const std::int64_t* kill_shard = parser.AddInt(
+      "kill-shard", 0, "which shard --kill-shard-at crashes");
 };
 
+/// Dies on a non-default flag that the chosen serve path would ignore.
+void RejectIgnoredFlags(const ServeFlags& f) {
+  if (*f.shards > 1) {
+    for (const char* name :
+         {"async", "threads", "deadline-ms", "quality-out"}) {
+      if (!f.parser.IsDefault(name)) {
+        Die(std::string("--") + name + " is single-engine only (not with "
+                                       "--shards>1)");
+      }
+    }
+    return;
+  }
+  for (const char* name : {"partition", "supervise", "queue-depth",
+                           "backpressure-deadline-ms", "kill-shard-at",
+                           "kill-shard"}) {
+    if (!f.parser.IsDefault(name)) {
+      Die(std::string("--") + name + " needs --shards>1");
+    }
+  }
+}
+
+/// The --fault-* spec both serve paths inject (a fleet's shard i draws
+/// seed + i).
+faults::FaultSpec ServeFaultSpec(const ServeFlags& f) {
+  faults::FaultSpec spec;
+  spec.seed = static_cast<std::uint64_t>(*f.fault_seed);
+  spec.at(faults::FaultSite::kIndexDelta).throw_probability =
+      *f.fault_throw_p;
+  faults::SiteSpec& round = spec.at(faults::FaultSite::kGreedyRound);
+  round.throw_probability = *f.fault_throw_p;
+  round.delay_probability = *f.fault_delay_p;
+  round.delay = std::chrono::milliseconds(*f.fault_delay_ms);
+  round.cancel_probability = *f.fault_cancel_p;
+  return spec;
+}
+
+/// The tracer and profiler of one serve run.  Declared before the engine
+/// or fleet so their worker threads are joined before the rings go away
+/// (the obs lifecycle contract).
+struct ServeObs {
+  explicit ServeObs(const ServeFlags& f) {
+    if (!f.trace_out->empty()) {
+      tracer.emplace();
+      obs::InstallTracer(&*tracer);
+    }
+    if (!f.prof_out->empty()) {
+      obs::Profiler::Options prof_options;
+      prof_options.sample_hz = static_cast<std::uint32_t>(*f.prof_hz);
+      profiler.emplace(prof_options);
+    }
+  }
+  std::optional<obs::Tracer> tracer;
+  std::optional<obs::Profiler> profiler;
+};
+
+/// Writes Prometheus text to `path` and the same metrics as JSON to
+/// <path>.json; returns the JSON path.
+std::string WriteMetrics(
+    const std::string& path,
+    const std::function<void(std::ostream&, obs::MetricsFormat)>& dump) {
+  const std::string json_path = path + ".json";
+  if (!io::WriteFile(path, [&](std::ostream& os) {
+        dump(os, obs::MetricsFormat::kPrometheus);
+      })) {
+    Die("cannot write " + path);
+  }
+  if (!io::WriteFile(json_path, [&](std::ostream& os) {
+        dump(os, obs::MetricsFormat::kJson);
+      })) {
+    Die("cannot write " + json_path);
+  }
+  return json_path;
+}
+
+/// Uninstalls the tracer and writes its Chrome trace plus <path>.log;
+/// `hint` is appended to the summary line.
+void FinishTrace(obs::Tracer& tracer, const std::string& trace_out,
+                 const std::string& hint) {
+  obs::InstallTracer(nullptr);  // hooks no-op from here on
+  const obs::TraceDrainResult drained = tracer.Drain();
+  if (!io::WriteFile(trace_out, [&](std::ostream& os) {
+        obs::WriteChromeTrace(os, drained);
+      })) {
+    Die("cannot write " + trace_out);
+  }
+  const std::string log_path = trace_out + ".log";
+  if (!io::WriteFile(log_path, [&](std::ostream& os) {
+        obs::WriteTraceLog(os, drained);
+      })) {
+    Die("cannot write " + log_path);
+  }
+  std::printf("trace      : %zu events from %zu threads (%llu dropped) "
+              "-> %s%s\n",
+              drained.events.size(), drained.num_threads,
+              static_cast<unsigned long long>(drained.dropped),
+              trace_out.c_str(), hint.c_str());
+}
+
 /// Uninstalls the profiler, drains its rings and writes the collapsed
-/// stacks (shared by the single-engine and sharded serve-trace paths).
+/// stacks.
 void FinishProfile(obs::Profiler& profiler, const std::string& prof_out) {
   obs::InstallProfiler(nullptr);  // sampling stops; hooks no-op from here
   const obs::ProfDrainResult drained = profiler.Drain();
@@ -395,69 +596,81 @@ void FinishProfile(obs::Profiler& profiler, const std::string& prof_out) {
               prof_out.c_str(), prof_out.c_str());
 }
 
-int ServeTraceSharded(const core::Instance& inst,
-                      const ShardedServeParams& params) {
+/// Dies with a flag-level diagnostic when a fleet checkpoint cannot be
+/// restored into the fleet the flags describe (ShardedEngine::Restore
+/// would abort on the same mismatch).
+void CheckFleetCheckpoint(const shard::FleetCheckpoint& cp,
+                          const shard::ShardedEngineOptions& options) {
+  if (cp.num_shards != options.partition.num_shards) {
+    Die("checkpoint has " + std::to_string(cp.num_shards) +
+        " shards != --shards " +
+        std::to_string(options.partition.num_shards));
+  }
+  std::size_t budget_sum = 0;
+  for (const std::size_t b : cp.budgets) budget_sum += b;
+  if (budget_sum != options.total_budget) {
+    Die("checkpoint budgets sum to " + std::to_string(budget_sum) +
+        " != --k " + std::to_string(options.total_budget));
+  }
+  if (cp.method != options.partition.method) {
+    Die(std::string("checkpoint partition ") +
+        shard::PartitionMethodName(cp.method) + " != --partition " +
+        shard::PartitionMethodName(options.partition.method));
+  }
+  if (cp.partition_seed != options.partition.seed) {
+    Die("checkpoint partition seed " + std::to_string(cp.partition_seed) +
+        " != --seed " + std::to_string(options.partition.seed));
+  }
+}
+
+int ServeTraceSharded(const core::Instance& inst, const ServeFlags& f) {
   shard::ShardedEngineOptions options;
-  if (!shard::ParsePartitionMethod(params.partition,
+  if (!shard::ParsePartitionMethod(*f.partition,
                                    &options.partition.method)) {
-    Die("unknown --partition '" + params.partition +
+    Die("unknown --partition '" + *f.partition +
         "' (expected bfs or spatial)");
   }
-  options.partition.num_shards = params.shards;
-  options.partition.seed = params.seed;
-  options.total_budget = params.k;
+  const auto num_shards = static_cast<std::size_t>(*f.shards);
+  options.partition.num_shards = num_shards;
+  options.partition.seed = static_cast<std::uint64_t>(*f.seed);
+  options.total_budget = static_cast<std::size_t>(*f.k);
   options.engine.lambda = inst.lambda();
-  options.engine.move_threshold = params.move_threshold;
-  options.engine.resolve_churn_fraction = params.resolve_churn_fraction;
+  options.engine.move_threshold = *f.move_threshold;
+  options.engine.resolve_churn_fraction = *f.resolve_churn_fraction;
   // --kill-shard-at is a supervised crash drill; it implies --supervise.
-  options.supervise = params.supervise || params.kill_shard_at != 0;
-  options.queue_depth = params.queue_depth;
+  options.supervise = *f.supervise || *f.kill_shard_at != 0;
+  options.queue_depth = static_cast<std::size_t>(*f.queue_depth);
   options.backpressure_deadline =
-      std::chrono::milliseconds(params.backpressure_deadline_ms);
-  if (params.fault_seed != 0) {
+      std::chrono::milliseconds(*f.backpressure_deadline_ms);
+  if (*f.fault_seed != 0) {
     options.inject_faults = true;
-    faults::FaultSpec spec;
-    spec.seed = params.fault_seed;  // shard i draws seed + i
-    spec.at(faults::FaultSite::kIndexDelta).throw_probability =
-        params.fault_throw_p;
-    faults::SiteSpec& round = spec.at(faults::FaultSite::kGreedyRound);
-    round.throw_probability = params.fault_throw_p;
-    round.delay_probability = params.fault_delay_p;
-    round.delay = std::chrono::milliseconds(params.fault_delay_ms);
-    round.cancel_probability = params.fault_cancel_p;
+    faults::FaultSpec spec = ServeFaultSpec(f);
     if (options.supervise) {
       // Supervised fleets also draw shard-layer faults: worker aborts
       // (recovered automatically) and queue-drain stalls (flagged as
       // SHARD_DEGRADED, fed to the backpressure path).
       spec.at(faults::FaultSite::kShardWorker).throw_probability =
-          params.fault_throw_p;
+          *f.fault_throw_p;
       faults::SiteSpec& drain = spec.at(faults::FaultSite::kQueueDrain);
-      drain.delay_probability = params.fault_delay_p;
-      drain.delay = std::chrono::milliseconds(params.fault_delay_ms);
+      drain.delay_probability = *f.fault_delay_p;
+      drain.delay = std::chrono::milliseconds(*f.fault_delay_ms);
     }
     options.fault_spec = spec;
   }
-  // Declared before the fleet so the workers are joined before the
-  // tracer's/profiler's rings go away (the obs lifecycle contract).
-  std::optional<obs::Tracer> tracer;
-  if (!params.trace_out.empty()) {
-    tracer.emplace();
-    obs::InstallTracer(&*tracer);
+  // Read and check the checkpoint before the fleet's workers start.
+  io::Parsed<shard::FleetCheckpoint> checkpoint;
+  if (!f.restore->empty()) {
+    checkpoint = shard::ReadFleetCheckpointFile(*f.restore);
+    if (!checkpoint.ok()) Die(checkpoint.error);
+    CheckFleetCheckpoint(*checkpoint.value, options);
   }
-  std::optional<obs::Profiler> profiler;
-  if (!params.prof_out.empty()) {
-    obs::Profiler::Options prof_options;
-    prof_options.sample_hz = params.prof_hz;
-    profiler.emplace(prof_options);
-  }
+  ServeObs obs_run(f);
   shard::ShardedEngine fleet(inst.network(), options);
 
   // Append-only id table indexed by arrival ordinal: the restored or
   // prefill flows first, then every epoch's arrivals.
   std::vector<shard::FlowId64> ids;
-  if (!params.restore.empty()) {
-    auto checkpoint = shard::ReadFleetCheckpointFile(params.restore);
-    if (!checkpoint.ok()) Die(checkpoint.error);
+  if (checkpoint.ok()) {
     fleet.Restore(*checkpoint.value);
     ids.reserve(checkpoint.value->flows.size());
     for (const shard::FleetCheckpoint::FlowEntry& entry :
@@ -466,32 +679,27 @@ int ServeTraceSharded(const core::Instance& inst,
     }
     std::printf("restored %s: fleet epoch %llu, %zu active flows, "
                 "%zu shards\n",
-                params.restore.c_str(),
+                f.restore->c_str(),
                 static_cast<unsigned long long>(checkpoint.value->epoch),
                 ids.size(), checkpoint.value->num_shards);
   } else {
-    traffic::FlowSet prefill;
-    prefill.reserve(static_cast<std::size_t>(inst.num_flows()));
-    for (FlowId f = 0; f < inst.num_flows(); ++f) {
-      prefill.push_back(inst.flow(f));
-    }
-    ids = fleet.SubmitBatch(prefill, {}).flow_ids;
+    ids = fleet.SubmitBatch(inst.flows(), {}).flow_ids;
     std::printf("epoch %3llu  +%-4zu -0    active %zu\n",
-                static_cast<unsigned long long>(1), prefill.size(),
+                static_cast<unsigned long long>(1), inst.flows().size(),
                 ids.size());
   }
 
   engine::ChurnModel churn;
-  churn.arrival_count = params.arrival_count;
-  churn.departure_probability = params.departure_probability;
-  const engine::ChurnTrace trace =
-      engine::BuildChurnTrace(inst.network(), churn, params.epochs,
-                              ids.size(), params.seed);
+  churn.arrival_count = static_cast<std::size_t>(*f.arrivals);
+  churn.departure_probability = *f.departure_probability;
+  const engine::ChurnTrace trace = engine::BuildChurnTrace(
+      inst.network(), churn, static_cast<std::size_t>(*f.epochs),
+      ids.size(), static_cast<std::uint64_t>(*f.seed));
 
   const auto write_checkpoint = [&]() {
-    if (!shard::WriteFleetCheckpointFile(params.checkpoint_out,
+    if (!shard::WriteFleetCheckpointFile(*f.checkpoint_out,
                                          fleet.Checkpoint())) {
-      Die("cannot write " + params.checkpoint_out);
+      Die("cannot write " + *f.checkpoint_out);
     }
   };
 
@@ -499,14 +707,16 @@ int ServeTraceSharded(const core::Instance& inst,
   // covers exactly the served epochs — not instance loading, churn-trace
   // synthesis, or the report writers (their samples would all be
   // unattributed noise in prof-report).
-  if (profiler.has_value()) obs::InstallProfiler(&*profiler);
+  if (obs_run.profiler) obs::InstallProfiler(&*obs_run.profiler);
+  const auto checkpoint_every = static_cast<std::size_t>(*f.checkpoint_every);
+  const auto kill_shard_at = static_cast<std::size_t>(*f.kill_shard_at);
   std::size_t epochs_served = 0;
   for (const engine::ChurnEpoch& epoch : trace.epochs) {
     const std::vector<shard::FlowId64> departing =
         engine::DepartingIds(epoch, ids);
-    if (params.kill_shard_at != 0 &&
-        epochs_served + 1 == params.kill_shard_at) {
-      const std::size_t victim = params.kill_shard % params.shards;
+    if (kill_shard_at != 0 && epochs_served + 1 == kill_shard_at) {
+      const std::size_t victim =
+          static_cast<std::size_t>(*f.kill_shard) % num_shards;
       std::printf("epoch %3zu  crash drill: killing shard %zu\n",
                   epochs_served + 1, victim);
       fleet.CrashShard(victim);
@@ -515,15 +725,14 @@ int ServeTraceSharded(const core::Instance& inst,
         fleet.SubmitBatch(epoch.arrivals, departing);
     ids.insert(ids.end(), batch.flow_ids.begin(), batch.flow_ids.end());
     ++epochs_served;
-    if (params.checkpoint_every > 0 &&
-        epochs_served % params.checkpoint_every == 0) {
+    if (checkpoint_every > 0 && epochs_served % checkpoint_every == 0) {
       write_checkpoint();  // Checkpoint() drains the fleet itself
     }
   }
   // Stop sampling at the end of the served epochs: the profile should
   // answer "where did the serve loop's CPU go", not measure the report
   // writers below.  FinishProfile's own uninstall is then a no-op.
-  if (profiler.has_value()) obs::InstallProfiler(nullptr);
+  if (obs_run.profiler) obs::InstallProfiler(nullptr);
 
   const shard::FleetSnapshot snapshot = fleet.Snapshot();
   const shard::FleetStats& stats = fleet.stats();
@@ -570,235 +779,45 @@ int ServeTraceSharded(const core::Instance& inst,
                 fleet.shed_alert().active() ? "ACTIVE" : "clear",
                 fleet.shed_alert().value());
   }
-  if (params.checkpoint_every > 0) write_checkpoint();
+  if (checkpoint_every > 0) write_checkpoint();
 
-  if (!params.metrics_out.empty()) {
-    if (!io::WriteFile(params.metrics_out, [&](std::ostream& os) {
-          fleet.DumpMetrics(os, obs::MetricsFormat::kPrometheus);
-        })) {
-      Die("cannot write " + params.metrics_out);
-    }
-    const std::string json_path = params.metrics_out + ".json";
-    if (!io::WriteFile(json_path, [&](std::ostream& os) {
-          fleet.DumpMetrics(os, obs::MetricsFormat::kJson);
-        })) {
-      Die("cannot write " + json_path);
-    }
+  if (!f.metrics_out->empty()) {
+    const std::string json_path = WriteMetrics(
+        *f.metrics_out, [&](std::ostream& os, obs::MetricsFormat format) {
+          fleet.DumpMetrics(os, format);
+        });
     std::printf("metrics    : %s (JSON: %s; summarize with: tdmd_cli "
                 "shard-report --metrics=%s)\n",
-                params.metrics_out.c_str(), json_path.c_str(),
-                params.metrics_out.c_str());
+                f.metrics_out->c_str(), json_path.c_str(),
+                f.metrics_out->c_str());
   }
-  if (tracer.has_value()) {
-    obs::InstallTracer(nullptr);  // hooks no-op from here on
-    const obs::TraceDrainResult drained = tracer->Drain();
-    if (!io::WriteFile(params.trace_out, [&](std::ostream& os) {
-          obs::WriteChromeTrace(os, drained);
-        })) {
-      Die("cannot write " + params.trace_out);
-    }
-    const std::string log_path = params.trace_out + ".log";
-    if (!io::WriteFile(log_path, [&](std::ostream& os) {
-          obs::WriteTraceLog(os, drained);
-        })) {
-      Die("cannot write " + log_path);
-    }
-    std::printf("trace      : %zu events from %zu threads (%llu dropped) "
-                "-> %s (analyze with: tdmd_cli fleet-report --trace=%s)\n",
-                drained.events.size(), drained.num_threads,
-                static_cast<unsigned long long>(drained.dropped),
-                params.trace_out.c_str(), params.trace_out.c_str());
+  if (obs_run.tracer) {
+    FinishTrace(*obs_run.tracer, *f.trace_out,
+                " (analyze with: tdmd_cli fleet-report --trace=" +
+                    *f.trace_out + ")");
   }
-  if (profiler.has_value()) FinishProfile(*profiler, params.prof_out);
+  if (obs_run.profiler) FinishProfile(*obs_run.profiler, *f.prof_out);
   return snapshot.feasible ? 0 : 3;
 }
 
-int ServeTrace(int argc, char** argv) {
-  ArgParser parser("tdmd_cli serve-trace",
-                   "serve a seeded churn trace through the online engine");
-  const auto* instance_path = parser.AddString(
-      "instance", "instance.tdmd",
-      "instance file: network + the flows live before the first epoch");
-  const auto* k = parser.AddInt("k", 8, "middlebox budget");
-  const auto* epochs = parser.AddInt("epochs", 20, "churn epochs to serve");
-  const auto* arrival_count =
-      parser.AddInt("arrivals", 5, "flow arrivals per epoch");
-  const auto* departure_probability = parser.AddDouble(
-      "departure-probability", 0.15,
-      "per-flow departure probability per epoch");
-  const auto* move_threshold = parser.AddDouble(
-      "move-threshold", 0.0,
-      "hysteresis: min bandwidth saving per moved middlebox before a "
-      "re-solve is adopted");
-  const auto* shards = parser.AddInt(
-      "shards", 1,
-      "partition the topology across N engine shards behind a "
-      "budget-allocating coordinator (1 = classic single engine)");
-  const auto* partition_name = parser.AddString(
-      "partition", "bfs",
-      "shard partitioner with --shards>1: bfs (region growing from "
-      "farthest-point seeds) or spatial (median cuts over coordinates)");
-  const auto* resolve_churn_fraction = parser.AddDouble(
-      "resolve-churn-fraction", 0.0,
-      "defer full re-solves until pending churn exceeds this fraction of "
-      "active flows (0 = re-solve every epoch)");
-  const auto* async = parser.AddBool(
-      "async", false, "run re-solves on a worker pool instead of inline");
-  const auto* threads =
-      parser.AddInt("threads", 2, "worker threads (with --async)");
-  const auto* seed = parser.AddInt(
-      "seed", 1,
-      "rng seed; the churn trace derives deterministically from it via "
-      "the generator bench/engine_churn shares, so equal seeds replay "
-      "identical workloads everywhere");
-  const auto* fault_seed = parser.AddInt(
-      "fault-seed", 0,
-      "seed for deterministic fault injection (DESIGN.md Section 9.1); "
-      "0 disables the injector entirely");
-  const auto* fault_throw_p = parser.AddDouble(
-      "fault-throw-p", 0.0, "per-visit injected-exception probability");
-  const auto* fault_delay_p = parser.AddDouble(
-      "fault-delay-p", 0.0, "per-visit injected-stall probability");
-  const auto* fault_delay_ms = parser.AddInt(
-      "fault-delay-ms", 1, "injected stall length in milliseconds");
-  const auto* fault_cancel_p = parser.AddDouble(
-      "fault-cancel-p", 0.0, "per-visit injected-cancellation probability");
-  const auto* deadline_ms = parser.AddInt(
-      "deadline-ms", 0,
-      "per-attempt re-solve deadline in milliseconds; an expired attempt "
-      "returns its greedy prefix as a degraded answer (0 = none)");
-  const auto* checkpoint_every = parser.AddInt(
-      "checkpoint-every", 0,
-      "write an engine checkpoint every N epochs (0 disables)");
-  const auto* checkpoint_out = parser.AddString(
-      "checkpoint-out", "engine.ckpt",
-      "engine-checkpoint v1 file rewritten by --checkpoint-every");
-  const auto* restore = parser.AddString(
-      "restore", "",
-      "restore the engine from this checkpoint instead of replaying the "
-      "instance's flow set as a prefill batch");
-  const auto* supervise = parser.AddBool(
-      "supervise", false,
-      "with --shards>1: heartbeat the shard workers, quarantine crashed "
-      "or stalled shards and auto-recover them from per-shard recovery "
-      "checkpoints plus redo-ring replay (DESIGN.md Section 14)");
-  const auto* queue_depth = parser.AddInt(
-      "queue-depth", 0,
-      "with --shards>1: per-shard command-queue high-water mark; past it "
-      "SubmitBatch blocks briefly, then sheds the batch to deferred-"
-      "re-solve admission (0 = unbounded, never shed)");
-  const auto* backpressure_deadline_ms = parser.AddInt(
-      "backpressure-deadline-ms", 20,
-      "how long a full queue blocks the submitter before shedding");
-  const auto* kill_shard_at = parser.AddInt(
-      "kill-shard-at", 0,
-      "crash drill: inject a shard crash just before serving this epoch "
-      "(1-based; 0 = never; implies --supervise)");
-  const auto* kill_shard = parser.AddInt(
-      "kill-shard", 0, "which shard --kill-shard-at crashes");
-  const auto* metrics_out = parser.AddString(
-      "metrics-out", "",
-      "write final engine metrics (counters + latency quantiles) as "
-      "Prometheus text here and as JSON to <path>.json");
-  const auto* trace_out = parser.AddString(
-      "trace-out", "",
-      "record structured spans and write a Chrome trace_event JSON here "
-      "(load via chrome://tracing or feed to tdmd_cli trace-report; "
-      "sharded runs additionally feed tdmd_cli fleet-report); a "
-      "plain-text event log lands next to it as <path>.log");
-  const auto* quality_out = parser.AddString(
-      "quality-out", "",
-      "write the engine's quality timeline (per-epoch realized ratio vs "
-      "the 1-1/e floor, plus fired regression alerts) here");
-  const auto* prof_out = parser.AddString(
-      "prof-out", "",
-      "sample the run with the in-process CPU profiler and write "
-      "collapsed stacks here (feed to tdmd_cli prof-report or "
-      "flamegraph.pl)");
-  const auto* prof_hz = parser.AddInt(
-      "prof-hz", static_cast<int>(obs::Profiler::kDefaultSampleHz),
-      "profiler sample rate in Hz (with --prof-out)");
-  parser.Parse(argc, argv);
-  if (*prof_hz <= 0) Die("--prof-hz must be positive");
-
-  auto instance = io::ReadInstanceFile(*instance_path);
-  if (!instance.ok()) Die(instance.error);
-  const core::Instance& inst = *instance.value;
-
-  if (*shards > 1) {
-    if (!quality_out->empty()) {
-      Die("--quality-out is single-engine only; sharded runs expose "
-          "per-shard state via --metrics-out + shard-report");
-    }
-    ShardedServeParams params;
-    params.shards = static_cast<std::size_t>(*shards);
-    params.partition = *partition_name;
-    params.k = static_cast<std::size_t>(*k);
-    params.epochs = static_cast<std::size_t>(*epochs);
-    params.arrival_count = static_cast<std::size_t>(*arrival_count);
-    params.departure_probability = *departure_probability;
-    params.move_threshold = *move_threshold;
-    params.resolve_churn_fraction = *resolve_churn_fraction;
-    params.seed = static_cast<std::uint64_t>(*seed);
-    params.fault_seed = static_cast<std::uint64_t>(*fault_seed);
-    params.fault_throw_p = *fault_throw_p;
-    params.fault_delay_p = *fault_delay_p;
-    params.fault_delay_ms = *fault_delay_ms;
-    params.fault_cancel_p = *fault_cancel_p;
-    params.checkpoint_every = static_cast<std::size_t>(*checkpoint_every);
-    params.checkpoint_out = *checkpoint_out;
-    params.restore = *restore;
-    params.metrics_out = *metrics_out;
-    params.supervise = *supervise;
-    params.queue_depth = static_cast<std::size_t>(*queue_depth);
-    params.backpressure_deadline_ms = *backpressure_deadline_ms;
-    params.kill_shard_at = static_cast<std::size_t>(*kill_shard_at);
-    params.kill_shard = static_cast<std::size_t>(*kill_shard);
-    params.trace_out = *trace_out;
-    params.prof_out = *prof_out;
-    params.prof_hz = static_cast<std::uint32_t>(*prof_hz);
-    return ServeTraceSharded(inst, params);
-  }
-
+int ServeTraceEngine(const core::Instance& inst, const ServeFlags& f) {
   engine::EngineOptions options;
-  options.k = static_cast<std::size_t>(*k);
+  options.k = static_cast<std::size_t>(*f.k);
   options.lambda = inst.lambda();
-  options.move_threshold = *move_threshold;
-  options.resolve_churn_fraction = *resolve_churn_fraction;
-  options.synchronous = !*async;
-  options.solver_threads = static_cast<std::size_t>(*threads);
-  options.solve_deadline = std::chrono::milliseconds(*deadline_ms);
+  options.move_threshold = *f.move_threshold;
+  options.resolve_churn_fraction = *f.resolve_churn_fraction;
+  options.synchronous = !*f.async;
+  options.solver_threads = static_cast<std::size_t>(*f.threads);
+  options.solve_deadline = std::chrono::milliseconds(*f.deadline_ms);
 
   // The injector must outlive the engine (the engine keeps a raw pointer
   // and its worker pool hook calls into it during teardown).
   std::optional<faults::FaultInjector> injector;
-  if (*fault_seed != 0) {
-    faults::FaultSpec spec;
-    spec.seed = static_cast<std::uint64_t>(*fault_seed);
-    spec.at(faults::FaultSite::kIndexDelta).throw_probability =
-        *fault_throw_p;
-    faults::SiteSpec& round = spec.at(faults::FaultSite::kGreedyRound);
-    round.throw_probability = *fault_throw_p;
-    round.delay_probability = *fault_delay_p;
-    round.delay = std::chrono::milliseconds(*fault_delay_ms);
-    round.cancel_probability = *fault_cancel_p;
-    injector.emplace(spec);
+  if (*f.fault_seed != 0) {
+    injector.emplace(ServeFaultSpec(f));
     options.fault_injector = &*injector;
   }
-  // Declared before the engine so the engine's worker threads are joined
-  // before the tracer's/profiler's rings go away (the obs lifecycle
-  // contract).
-  std::optional<obs::Tracer> tracer;
-  if (!trace_out->empty()) {
-    tracer.emplace();
-    obs::InstallTracer(&*tracer);
-  }
-  std::optional<obs::Profiler> profiler;
-  if (!prof_out->empty()) {
-    obs::Profiler::Options prof_options;
-    prof_options.sample_hz = static_cast<std::uint32_t>(*prof_hz);
-    profiler.emplace(prof_options);
-  }
+  ServeObs obs_run(f);
   engine::Engine eng(inst.network(), options);
 
   const auto print_snapshot = [&eng](std::size_t arrived,
@@ -817,9 +836,9 @@ int ServeTrace(int argc, char** argv) {
   // Append-only ticket table indexed by arrival ordinal: the restored or
   // prefill flows first, then every epoch's arrivals.
   std::vector<engine::FlowTicket> tickets;
-  if (!restore->empty()) {
+  if (!f.restore->empty()) {
     // Resume from a checkpoint instead of replaying the prefill batch.
-    auto checkpoint = io::ReadEngineCheckpointFile(*restore);
+    auto checkpoint = io::ReadEngineCheckpointFile(*f.restore);
     if (!checkpoint.ok()) Die(checkpoint.error);
     const engine::EngineCheckpoint& cp = *checkpoint.value;
     if (cp.k != options.k) {
@@ -836,38 +855,33 @@ int ServeTrace(int argc, char** argv) {
     }
     eng.Restore(cp);
     tickets.reserve(cp.active_flows.size());
-    for (const engine::EngineCheckpoint::ActiveFlow& f : cp.active_flows) {
-      tickets.push_back(f.ticket);
+    for (const engine::EngineCheckpoint::ActiveFlow& flow : cp.active_flows) {
+      tickets.push_back(flow.ticket);
     }
     std::printf("restored %s: epoch %llu, %zu active flows, mode %s\n",
-                restore->c_str(),
+                f.restore->c_str(),
                 static_cast<unsigned long long>(cp.epoch), tickets.size(),
                 engine::EngineModeName(cp.mode));
   } else {
     // Epoch 1: the instance's own flow set arrives in one batch.
-    traffic::FlowSet prefill;
-    prefill.reserve(static_cast<std::size_t>(inst.num_flows()));
-    for (FlowId f = 0; f < inst.num_flows(); ++f) {
-      prefill.push_back(inst.flow(f));
-    }
-    tickets = eng.SubmitBatch(prefill, {}).tickets;
-    print_snapshot(prefill.size(), 0, 0);
+    tickets = eng.SubmitBatch(inst.flows(), {}).tickets;
+    print_snapshot(inst.flows().size(), 0, 0);
   }
 
   engine::ChurnModel churn;
-  churn.arrival_count = static_cast<std::size_t>(*arrival_count);
-  churn.departure_probability = *departure_probability;
+  churn.arrival_count = static_cast<std::size_t>(*f.arrivals);
+  churn.departure_probability = *f.departure_probability;
   const engine::ChurnTrace trace = engine::BuildChurnTrace(
-      inst.network(), churn, static_cast<std::size_t>(*epochs),
-      tickets.size(), static_cast<std::uint64_t>(*seed));
+      inst.network(), churn, static_cast<std::size_t>(*f.epochs),
+      tickets.size(), static_cast<std::uint64_t>(*f.seed));
 
   const auto write_checkpoint = [&]() {
     // File-level writer: atomic temp+rename plus a CRC trailer, so a
     // crash mid-write can never leave a torn checkpoint behind.
     std::string error;
-    if (!io::WriteEngineCheckpointFile(*checkpoint_out, eng.Checkpoint(),
+    if (!io::WriteEngineCheckpointFile(*f.checkpoint_out, eng.Checkpoint(),
                                        {}, nullptr, &error)) {
-      Die("cannot write " + *checkpoint_out + ": " + error);
+      Die("cannot write " + *f.checkpoint_out + ": " + error);
     }
   };
 
@@ -875,7 +889,7 @@ int ServeTrace(int argc, char** argv) {
   // covers exactly the served epochs — not instance loading, churn-trace
   // synthesis, or the report writers (their samples would all be
   // unattributed noise in prof-report).
-  if (profiler.has_value()) obs::InstallProfiler(&*profiler);
+  if (obs_run.profiler) obs::InstallProfiler(&*obs_run.profiler);
   std::size_t epochs_served = 0;
   for (const engine::ChurnEpoch& epoch : trace.epochs) {
     const std::vector<engine::FlowTicket> departing =
@@ -887,8 +901,8 @@ int ServeTrace(int argc, char** argv) {
     print_snapshot(epoch.arrivals.size(), departing.size(),
                    batch.patch_boxes);
     ++epochs_served;
-    if (*checkpoint_every > 0 &&
-        epochs_served % static_cast<std::size_t>(*checkpoint_every) == 0) {
+    if (*f.checkpoint_every > 0 &&
+        epochs_served % static_cast<std::size_t>(*f.checkpoint_every) == 0) {
       eng.WaitIdle();  // checkpoint the settled state, not a mid-solve one
       write_checkpoint();
     }
@@ -897,7 +911,7 @@ int ServeTrace(int argc, char** argv) {
   // Stop sampling at the end of the served epochs: the profile should
   // answer "where did the serve loop's CPU go", not measure the report
   // writers below.  FinishProfile's own uninstall is then a no-op.
-  if (profiler.has_value()) obs::InstallProfiler(nullptr);
+  if (obs_run.profiler) obs::InstallProfiler(nullptr);
 
   const auto snapshot = eng.CurrentSnapshot();
   const engine::EngineStats stats = eng.stats();
@@ -944,88 +958,45 @@ int ServeTrace(int argc, char** argv) {
                   stats.resolves_expired_adopted),
               static_cast<unsigned long long>(stats.resolves_coalesced),
               static_cast<unsigned long long>(stats.watchdog_cancels));
-  if (*checkpoint_every > 0) write_checkpoint();
+  if (*f.checkpoint_every > 0) write_checkpoint();
 
-  if (!quality_out->empty()) {
-    // Render the engine's own timeline through the same report writer the
-    // quality-report subcommand uses on a trace file.
-    const obs::QualityTimelineSnapshot timeline = eng.QualityTimeline();
-    obs::QualityReport report;
-    report.ok = true;
-    double ratio_sum = 0.0;
-    report.points.reserve(timeline.samples.size());
-    for (const obs::QualitySample& sample : timeline.samples) {
-      report.points.push_back(
-          obs::QualityReportPoint{sample.epoch, sample.realized_ratio});
-      ratio_sum += sample.realized_ratio;
-      if (sample.realized_ratio < obs::kQualityRatioFloor) {
-        ++report.below_floor;
-      }
-      report.min_ratio = report.points.size() == 1
-                             ? sample.realized_ratio
-                             : std::min(report.min_ratio,
-                                        sample.realized_ratio);
-    }
-    report.num_samples = report.points.size();
-    if (report.num_samples > 0) {
-      report.mean_ratio =
-          ratio_sum / static_cast<double>(report.num_samples);
-      report.last_ratio = report.points.back().ratio;
-    }
-    report.alerts.reserve(timeline.alerts.size());
-    for (const obs::QualityAlert& alert : timeline.alerts) {
-      report.alerts.push_back(obs::QualityReportAlertRow{
-          obs::QualityAlertKindName(alert.kind), alert.raised, alert.epoch});
-    }
-    report.num_alert_events = report.alerts.size();
-    if (!io::WriteFile(*quality_out, [&](std::ostream& os) {
+  if (!f.quality_out->empty()) {
+    // The same summary quality-report rebuilds from a trace file.
+    const obs::QualityReport report =
+        obs::BuildQualityReport(eng.QualityTimeline());
+    if (!io::WriteFile(*f.quality_out, [&](std::ostream& os) {
           obs::WriteQualityReport(os, report);
         })) {
-      Die("cannot write " + *quality_out);
+      Die("cannot write " + *f.quality_out);
     }
     std::printf("quality    : %zu samples, %zu alert events -> %s\n",
                 report.num_samples, report.num_alert_events,
-                quality_out->c_str());
+                f.quality_out->c_str());
   }
   // Metrics go out while the tracer is still installed so the dump carries
   // tdmd_trace_dropped_total alongside the engine counters.
-  if (!metrics_out->empty()) {
-    if (!io::WriteFile(*metrics_out, [&](std::ostream& os) {
-          eng.DumpMetrics(os, obs::MetricsFormat::kPrometheus);
-        })) {
-      Die("cannot write " + *metrics_out);
-    }
-    const std::string json_path = *metrics_out + ".json";
-    if (!io::WriteFile(json_path, [&](std::ostream& os) {
-          eng.DumpMetrics(os, obs::MetricsFormat::kJson);
-        })) {
-      Die("cannot write " + json_path);
-    }
-    std::printf("metrics    : %s (JSON: %s)\n", metrics_out->c_str(),
+  if (!f.metrics_out->empty()) {
+    const std::string json_path = WriteMetrics(
+        *f.metrics_out, [&](std::ostream& os, obs::MetricsFormat format) {
+          eng.DumpMetrics(os, format);
+        });
+    std::printf("metrics    : %s (JSON: %s)\n", f.metrics_out->c_str(),
                 json_path.c_str());
   }
-  if (tracer.has_value()) {
-    obs::InstallTracer(nullptr);  // hooks no-op from here on
-    const obs::TraceDrainResult drained = tracer->Drain();
-    if (!io::WriteFile(*trace_out, [&](std::ostream& os) {
-          obs::WriteChromeTrace(os, drained);
-        })) {
-      Die("cannot write " + *trace_out);
-    }
-    const std::string log_path = *trace_out + ".log";
-    if (!io::WriteFile(log_path, [&](std::ostream& os) {
-          obs::WriteTraceLog(os, drained);
-        })) {
-      Die("cannot write " + log_path);
-    }
-    std::printf("trace      : %zu events from %zu threads (%llu dropped) "
-                "-> %s\n",
-                drained.events.size(), drained.num_threads,
-                static_cast<unsigned long long>(drained.dropped),
-                trace_out->c_str());
-  }
-  if (profiler.has_value()) FinishProfile(*profiler, *prof_out);
+  if (obs_run.tracer) FinishTrace(*obs_run.tracer, *f.trace_out, "");
+  if (obs_run.profiler) FinishProfile(*obs_run.profiler, *f.prof_out);
   return snapshot->feasible ? 0 : 3;
+}
+
+int ServeTrace(int argc, char** argv) {
+  const ServeFlags flags(argc, argv);
+  if (*flags.prof_hz <= 0) Die("--prof-hz must be positive");
+  RejectIgnoredFlags(flags);
+
+  auto instance = io::ReadInstanceFile(*flags.instance);
+  if (!instance.ok()) Die(instance.error);
+  return *flags.shards > 1 ? ServeTraceSharded(*instance.value, flags)
+                           : ServeTraceEngine(*instance.value, flags);
 }
 
 int ProfReportCommand(int argc, char** argv) {

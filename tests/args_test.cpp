@@ -27,6 +27,25 @@ TEST(ArgParserTest, DefaultsSurviveWhenUnset) {
   EXPECT_EQ(*name, "tree");
 }
 
+TEST(ArgParserTest, IsDefaultComparesValuesNotPresence) {
+  ArgParser parser("prog", "test");
+  parser.AddInt("k", 8, "budget");
+  parser.AddInt("threads", 2, "workers");
+  parser.AddDouble("lambda", 0.5, "ratio");
+  parser.AddBool("async", false, "pool");
+  parser.AddString("partition", "bfs", "method");
+  parser.AddString("out", "", "path");
+  auto argv = Argv({"--k=9", "--threads=2", "--lambda=0.50", "--async",
+                    "--partition=spatial"});
+  parser.Parse(static_cast<int>(argv.size()), argv.data());
+  EXPECT_FALSE(parser.IsDefault("k"));
+  EXPECT_TRUE(parser.IsDefault("threads"));  // given, but the default
+  EXPECT_TRUE(parser.IsDefault("lambda"));
+  EXPECT_FALSE(parser.IsDefault("async"));
+  EXPECT_FALSE(parser.IsDefault("partition"));
+  EXPECT_TRUE(parser.IsDefault("out"));  // absent
+}
+
 TEST(ArgParserTest, EqualsSyntax) {
   ArgParser parser("prog", "test");
   const auto* k = parser.AddInt("k", 0, "budget");

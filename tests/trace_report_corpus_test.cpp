@@ -1,16 +1,24 @@
-// Malformed-trace corpus (ISSUE satellite): trace-report and
+// Malformed-trace corpus for the one Chrome-trace reader: trace-report and
 // quality-report must reject truncated, empty and garbage inputs with a
 // one-line diagnostic instead of silently reporting zeros, and a genuine
-// WriteChromeTrace stream must round-trip through both builders.
+// WriteChromeTrace stream must round-trip through both reports.  The
+// quality summary of an engine's own timeline must agree with the one
+// rebuilt from its trace.
 #include <gtest/gtest.h>
 
 #include <sstream>
 #include <string>
+#include <vector>
 
+#include "common/rng.hpp"
+#include "engine/churn_trace.hpp"
+#include "engine/engine.hpp"
 #include "obs/quality_report.hpp"
 #include "obs/timeseries.hpp"
 #include "obs/trace.hpp"
 #include "obs/trace_report.hpp"
+#include "topology/generators.hpp"
+#include "traffic/generator.hpp"
 
 namespace tdmd::obs {
 namespace {
@@ -61,9 +69,6 @@ TEST(TraceReportCorpusTest, MalformedInputsAreRejectedWithDiagnostics) {
         << c.label << ": " << trace.error;
     EXPECT_EQ(trace.num_events, 0u) << c.label;
 
-    // quality-report shares the structural parser, except that a span
-    // without dur is fine for it (it only decodes instants).
-    if (std::string(c.label) == "span without dur") continue;
     const QualityReport quality = Quality(c.text);
     EXPECT_FALSE(quality.ok) << c.label;
     EXPECT_NE(quality.error.find(c.diagnostic), std::string::npos)
@@ -80,6 +85,51 @@ TEST(TraceReportCorpusTest, QualityReportRejectsTraceWithoutSamples) {
   EXPECT_FALSE(quality.ok);
   EXPECT_NE(quality.error.find("no quality-sample events"),
             std::string::npos);
+}
+
+TEST(TraceReportCorpusTest, ReaderTakesBatchOnlyFromArgs) {
+  // Flow records name themselves "batch" but carry no args: they must
+  // read as unbound, whatever number follows the name (here the flow id,
+  // once in the writer's key order and once with "id" right after it).
+  std::istringstream is(
+      R"({"traceEvents": [{"name":"batch","cat":"batch","ph":"s","id":7,)"
+      R"("pid":1,"tid":2,"ts":5},)"
+      R"({"name":"batch","id":7,"ph":"f","tid":1,"ts":6,"bp":"e"},)"
+      R"({"name":"patch","ph":"X","tid":1,"ts":6,"dur":2,)"
+      R"("args":{"arg":3,"batch":9}}]})");
+  const ChromeTrace trace = ReadChromeTrace(is);
+  ASSERT_TRUE(trace.ok) << trace.error;
+  ASSERT_EQ(trace.events.size(), 3u);
+  for (int i = 0; i < 2; ++i) {
+    const ChromeEvent& flow = trace.events[static_cast<std::size_t>(i)];
+    EXPECT_EQ(flow.name, "batch") << i;
+    EXPECT_EQ(flow.batch, 0u) << i;
+    EXPECT_FALSE(flow.has_arg) << i;
+  }
+  EXPECT_TRUE(trace.events[0].has_tid);
+  EXPECT_EQ(trace.events[0].tid, 2.0);
+  const ChromeEvent& patch = trace.events[2];
+  EXPECT_EQ(patch.batch, 9u);
+  EXPECT_TRUE(patch.has_arg);
+  EXPECT_EQ(patch.arg, 3.0);
+  EXPECT_EQ(patch.dur, 2.0);
+}
+
+TEST(TraceReportCorpusTest, QualityReportRejectsFleetTraces) {
+  // Every shard samples its own series; read as one timeline they would
+  // interleave, so a trace with fleet-submit spans is refused.
+  const std::string text =
+      R"({"traceEvents": [)" + SampleEvent(1, 1.0) +
+      R"(, {"name": "fleet-submit", "ph": "X", "ts": 1, "dur": 3, )"
+      R"("tid": 0, "args": {"arg": 1, "batch": 1}}, )" +
+      SampleEvent(1, 0.5) + "]}";
+  EXPECT_TRUE(Trace(text).ok);
+  const QualityReport quality = Quality(text);
+  EXPECT_FALSE(quality.ok);
+  EXPECT_NE(quality.error.find("fleet-submit"), std::string::npos)
+      << quality.error;
+  EXPECT_EQ(quality.error.find('\n'), std::string::npos);
+  EXPECT_EQ(quality.num_samples, 0u);
 }
 
 TEST(TraceReportCorpusTest, QualityReportRejectsBrokenQualityEvents) {
@@ -159,6 +209,78 @@ TEST(TraceReportCorpusTest, RealChromeTraceRoundTripsBothBuilders) {
   EXPECT_NEAR(quality.points[0].ratio, 0.8, 1e-6);
   ASSERT_EQ(quality.alerts.size(), 1u);
   EXPECT_EQ(quality.alerts[0].kind, "adoption-staleness-burn-rate");
+}
+
+TEST(TraceReportCorpusTest, TimelineAndTraceSummariesAgree) {
+  // A traced synchronous engine run: serve-trace --quality-out summarizes
+  // the engine's timeline, quality-report rebuilds it from the trace.
+  // Both must agree sample for sample, up to the trace's ppm encoding.
+  Rng rng(5);
+  const graph::Digraph network = topology::Waxman(30, 0.5, 0.4, rng);
+  traffic::WorkloadParams params;
+  params.flow_density = 0.05;
+  params.max_flows = 60;
+  const traffic::FlowSet prefill =
+      traffic::GenerateGeneralWorkload(network, {}, params, rng);
+  engine::ChurnModel churn;
+  churn.arrival_count = 4;
+  churn.departure_probability = 0.2;
+  const engine::ChurnTrace churn_trace =
+      engine::BuildChurnTrace(network, churn, 10, prefill.size(), 11);
+
+  engine::EngineOptions options;
+  options.k = 4;
+  options.synchronous = true;
+  Tracer tracer;
+  InstallTracer(&tracer);
+  QualityTimelineSnapshot timeline;
+  {
+    engine::Engine eng(network, options);
+    std::vector<engine::FlowTicket> tickets =
+        eng.SubmitBatch(prefill, {}).tickets;
+    for (const engine::ChurnEpoch& epoch : churn_trace.epochs) {
+      const engine::Engine::BatchResult batch = eng.SubmitBatch(
+          epoch.arrivals, engine::DepartingIds(epoch, tickets));
+      tickets.insert(tickets.end(), batch.tickets.begin(),
+                     batch.tickets.end());
+    }
+    timeline = eng.QualityTimeline();
+  }
+  InstallTracer(nullptr);
+  std::ostringstream os;
+  WriteChromeTrace(os, tracer.Drain());
+
+  const QualityReport from_trace = Quality(os.str());
+  const QualityReport from_timeline = BuildQualityReport(timeline);
+  ASSERT_TRUE(from_trace.ok) << from_trace.error;
+  ASSERT_TRUE(from_timeline.ok);
+  ASSERT_GE(from_timeline.num_samples, 11u);
+  ASSERT_EQ(from_trace.num_samples, from_timeline.num_samples);
+  constexpr double kPpm = 1e-6;
+  for (std::size_t i = 0; i < from_trace.points.size(); ++i) {
+    EXPECT_EQ(from_trace.points[i].epoch, from_timeline.points[i].epoch)
+        << i;
+    EXPECT_NEAR(from_trace.points[i].ratio, from_timeline.points[i].ratio,
+                kPpm)
+        << i;
+  }
+  EXPECT_NEAR(from_trace.min_ratio, from_timeline.min_ratio, kPpm);
+  EXPECT_NEAR(from_trace.mean_ratio, from_timeline.mean_ratio, kPpm);
+  EXPECT_NEAR(from_trace.last_ratio, from_timeline.last_ratio, kPpm);
+  EXPECT_EQ(from_trace.below_floor, from_timeline.below_floor);
+  ASSERT_EQ(from_trace.alerts.size(), from_timeline.alerts.size());
+  for (std::size_t i = 0; i < from_trace.alerts.size(); ++i) {
+    EXPECT_EQ(from_trace.alerts[i].kind, from_timeline.alerts[i].kind);
+    EXPECT_EQ(from_trace.alerts[i].raised, from_timeline.alerts[i].raised);
+    EXPECT_EQ(from_trace.alerts[i].epoch, from_timeline.alerts[i].epoch);
+  }
+
+  std::ostringstream a;
+  std::ostringstream b;
+  WriteQualityReport(a, from_trace);
+  WriteQualityReport(b, from_timeline);
+  EXPECT_EQ(a.str().substr(0, a.str().find('\n')),
+            b.str().substr(0, b.str().find('\n')));
 }
 
 }  // namespace
