@@ -2,6 +2,7 @@
 
 #include <cstdio>
 #include <cstdlib>
+#include <limits>
 #include <sstream>
 #include <stdexcept>
 
@@ -78,6 +79,27 @@ bool ArgParser::IsDefault(const std::string& name) const {
     Fail("IsDefault on unregistered flag --" + name);
   }
   return ValueRepr(it->second) == it->second.default_repr;
+}
+
+std::optional<std::int64_t> ArgParser::BoundedInt(const std::string& name,
+                                                  std::int64_t lo,
+                                                  std::int64_t hi,
+                                                  std::string* error) const {
+  const auto it = flags_.find(name);
+  if (it == flags_.end() || it->second.kind != Kind::kInt) {
+    Fail("BoundedInt on unregistered or non-int flag --" + name);
+  }
+  const std::int64_t value = it->second.int_value;
+  if (value >= lo && value <= hi) return value;
+  std::string reason = "--" + name + "=" + std::to_string(value);
+  if (hi == std::numeric_limits<std::int64_t>::max()) {
+    reason += " is below its minimum " + std::to_string(lo);
+  } else {
+    reason += " is outside [" + std::to_string(lo) + ", " +
+              std::to_string(hi) + "]";
+  }
+  *error = std::move(reason);
+  return std::nullopt;
 }
 
 void ArgParser::SetFromString(const std::string& name, Flag& flag,

@@ -7,6 +7,7 @@
 
 #include <cstdint>
 #include <map>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -40,6 +41,14 @@ class ArgParser {
   /// True while a registered flag holds its default: absent from argv, or
   /// given the default value.
   bool IsDefault(const std::string& name) const;
+
+  /// The value of int flag `name` when it lies in [lo, hi]; otherwise
+  /// std::nullopt, with a one-line "--name=<value> ..." reason in *error.
+  /// Callers turn that into their own diagnostic (a count flag cast to
+  /// std::size_t must not wrap).
+  std::optional<std::int64_t> BoundedInt(const std::string& name,
+                                         std::int64_t lo, std::int64_t hi,
+                                         std::string* error) const;
 
  private:
   enum class Kind { kInt, kDouble, kBool, kString };

@@ -57,13 +57,10 @@ class CelfQueue {
   /// Pops until the top entry's gain is fresh (computed in `round`).
   /// Entries already in `deployed` are discarded; stale entries are
   /// re-evaluated with `gain` and re-pushed.  Returns an invalid candidate
-  /// when the queue runs dry.  `reevals_saved` (optional) accumulates the
-  /// number of undeployed candidates whose cached gain was *not*
-  /// re-evaluated this round — the work a plain full scan would have done.
+  /// when the queue runs dry.
   template <typename GainFn>
   CelfCandidate PopBest(std::size_t round, const Deployment& deployed,
-                        GainFn&& gain, std::size_t* oracle_calls,
-                        std::size_t* reevals_saved = nullptr) {
+                        GainFn&& gain, std::size_t* oracle_calls) {
     std::size_t evals_this_round = 0;
     CelfCandidate chosen;
     while (!heap_.empty()) {
@@ -82,14 +79,6 @@ class CelfQueue {
     }
     if (chosen.vertex != kInvalidVertex) {
       obs::TraceInstant(obs::TracePhase::kCelfPop, evals_this_round);
-    }
-    if (reevals_saved != nullptr && chosen.vertex != kInvalidVertex) {
-      // A full scan would have evaluated every undeployed vertex.  The
-      // chosen candidate itself was re-evaluated, so it is not "saved".
-      const std::size_t scan_size = heap_.size() + 1;
-      if (scan_size > evals_this_round) {
-        *reevals_saved += scan_size - evals_this_round;
-      }
     }
     return chosen;
   }

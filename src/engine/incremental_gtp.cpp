@@ -85,7 +85,7 @@ class SlotServedState {
 /// vertices need no explicit exclusion: an unserved flow by definition
 /// has no deployed vertex on its path, so their counts are zero.)
 ///
-/// Two things make the probe cheap enough for the re-solve hot path:
+/// Three things make the probe cheap enough for the re-solve hot path:
 ///
 ///   * Flows sharing one path are served by exactly the same deployments,
 ///     so the probe works on the index's distinct path classes with
@@ -98,34 +98,68 @@ class SlotServedState {
 ///     per-vertex weights, and the vertex -> unserved classes lists are
 ///     built once per CELF round (BeginRound) and shared by every
 ///     candidate probed that round; covered marks are invalidated by a
-///     probe counter instead of clearing.  A probe also rejects as soon
-///     as its cover provably exceeds the remaining budget.
+///     probe counter instead of clearing.
+///   * A disjoint-path lower bound settles most rejects without a greedy
+///     run.  BeginRound packs vertex-disjoint unserved classes, shortest
+///     path first, until the packing is maximal.  Every cover must hit
+///     each packed class on a distinct vertex, and the candidate lies on
+///     at most one of them, so any cover of the residual — the greedy one
+///     included — needs at least packed − hit(candidate) vertices.  When
+///     that exceeds the remaining budget the greedy would fail; likewise
+///     mid-greedy, once picks so far + packed classes still open exceed
+///     it.  The bound only ever answers "false" where the greedy itself
+///     returns false, so verdicts (and hence selections) are unchanged.
 class FeasibilityProbe {
  public:
   explicit FeasibilityProbe(const FlowCoverageIndex& index)
       : index_(&index),
         classes_through_(static_cast<std::size_t>(index.num_vertices())),
         base_count_(static_cast<std::size_t>(index.num_vertices()), 0),
-        count_(static_cast<std::size_t>(index.num_vertices()), 0) {}
+        count_(static_cast<std::size_t>(index.num_vertices()), 0),
+        covered_stamp_(index.num_path_classes(), 0),
+        class_packed_(index.num_path_classes(), 0),
+        vertex_packed_(static_cast<std::size_t>(index.num_vertices()), 0) {
+    // Active classes in packing order: a counting sort on path length,
+    // stable in class id, so BeginRound's packing is deterministic.
+    const std::size_t num_classes = index.num_path_classes();
+    std::vector<std::size_t> start;
+    for (std::uint32_t c = 0; c < num_classes; ++c) {
+      const FlowCoverageIndex::PathClass& cls = index.PathClassAt(c);
+      if (cls.active_flows == 0) continue;
+      const std::size_t length = cls.vertices.size();
+      if (start.size() < length + 2) start.resize(length + 2, 0);
+      ++start[length + 1];
+    }
+    for (std::size_t i = 1; i < start.size(); ++i) start[i] += start[i - 1];
+    by_length_.resize(start.empty() ? 0 : start.back());
+    for (std::uint32_t c = 0; c < num_classes; ++c) {
+      const FlowCoverageIndex::PathClass& cls = index.PathClassAt(c);
+      if (cls.active_flows == 0) continue;
+      by_length_[start[cls.vertices.size()]++] = c;
+    }
+  }
 
   /// Snapshots the round's unserved path classes and the per-vertex
-  /// residual flow counts.  O(sum of unserved-class path lengths).
+  /// residual flow counts, and rebuilds the maximal disjoint packing.
+  /// O(sum of unserved-class path lengths).
   void BeginRound(const core::Deployment& deployment) {
-    const std::size_t num_classes = index_->num_path_classes();
-    if (covered_stamp_.size() < num_classes) {
-      covered_stamp_.resize(num_classes, 0);
-    }
     for (auto& list : classes_through_) list.clear();
     std::fill(base_count_.begin(), base_count_.end(), 0);
+    std::fill(vertex_packed_.begin(), vertex_packed_.end(), 0);
+    for (std::uint32_t c : packed_) class_packed_[c] = 0;
+    packed_.clear();
     base_residual_ = 0;
-    for (std::uint32_t c = 0; c < num_classes; ++c) {
+    for (std::uint32_t c : by_length_) {
       const FlowCoverageIndex::PathClass& cls = index_->PathClassAt(c);
-      if (cls.active_flows == 0) continue;
       bool served = false;
+      bool disjoint = true;
       for (VertexId v : cls.vertices) {
         if (deployment.Contains(v)) {
           served = true;
           break;
+        }
+        if (vertex_packed_[static_cast<std::size_t>(v)] != 0) {
+          disjoint = false;
         }
       }
       if (served) continue;
@@ -133,6 +167,11 @@ class FeasibilityProbe {
       for (VertexId v : cls.vertices) {
         base_count_[static_cast<std::size_t>(v)] += cls.active_flows;
         classes_through_[static_cast<std::size_t>(v)].push_back(c);
+        if (disjoint) vertex_packed_[static_cast<std::size_t>(v)] = 1;
+      }
+      if (disjoint) {
+        class_packed_[c] = 1;
+        packed_.push_back(c);
       }
     }
   }
@@ -140,8 +179,15 @@ class FeasibilityProbe {
   /// The coverability verdict for one candidate.  Requires BeginRound for
   /// the round's deployment.
   bool Coverable(VertexId candidate, std::size_t remaining_budget) {
-    ++probe_;  // invalidates all covered marks from earlier probes
+    ++probe_;  // also invalidates all covered marks from earlier probes
+    const std::size_t hit =
+        vertex_packed_[static_cast<std::size_t>(candidate)];
+    if (packed_.size() - hit > remaining_budget) {
+      ++settled_by_bound_;
+      return false;
+    }
     count_ = base_count_;
+    open_packed_ = packed_.size();
     std::size_t residual = base_residual_;
     CoverClassesThrough(candidate, &residual);
     if (residual == 0) return true;
@@ -162,9 +208,18 @@ class FeasibilityProbe {
       if (best_gain == 0) return false;  // uncoverable residue
       if (++chosen_sets > remaining_budget) return false;
       CoverClassesThrough(best, &residual);
+      if (chosen_sets + open_packed_ > remaining_budget) {
+        ++settled_by_bound_;
+        return false;
+      }
     }
     return true;
   }
+
+  /// Coverable calls so far, and how many of them the packing bound
+  /// answered (before or during the greedy run).
+  std::size_t probes() const { return static_cast<std::size_t>(probe_); }
+  std::size_t settled_by_bound() const { return settled_by_bound_; }
 
  private:
   /// Marks every not-yet-covered unserved class through `v` covered for
@@ -173,6 +228,7 @@ class FeasibilityProbe {
     for (std::uint32_t c : classes_through_[static_cast<std::size_t>(v)]) {
       if (covered_stamp_[c] == probe_) continue;
       covered_stamp_[c] = probe_;
+      open_packed_ -= class_packed_[c];
       const FlowCoverageIndex::PathClass& cls = index_->PathClassAt(c);
       *residual -= cls.active_flows;
       for (VertexId u : cls.vertices) {
@@ -182,9 +238,6 @@ class FeasibilityProbe {
   }
 
   const FlowCoverageIndex* index_;
-  /// covered_stamp_[c] == probe_  <=>  class c covered in this probe.
-  std::vector<std::uint64_t> covered_stamp_;
-  std::uint64_t probe_ = 0;
   /// classes_through_[v] = unserved classes through v as of BeginRound.
   std::vector<std::vector<std::uint32_t>> classes_through_;
   /// base_count_[v] = unserved flows through v; count_ is the working copy
@@ -192,6 +245,20 @@ class FeasibilityProbe {
   std::vector<std::size_t> base_count_;
   std::vector<std::size_t> count_;
   std::size_t base_residual_ = 0;
+  /// covered_stamp_[c] == probe_  <=>  class c covered in this probe.
+  std::vector<std::uint64_t> covered_stamp_;
+  std::uint64_t probe_ = 0;
+  /// Active classes, shortest path first (ties by class id).
+  std::vector<std::uint32_t> by_length_;
+  /// The round's packing: packed_ lists its classes, class_packed_[c] and
+  /// vertex_packed_[v] are 1 for packed classes and the vertices they
+  /// occupy.  open_packed_ counts packed classes the current probe has
+  /// not covered yet.
+  std::vector<std::uint32_t> packed_;
+  std::vector<std::size_t> class_packed_;
+  std::vector<std::size_t> vertex_packed_;
+  std::size_t open_packed_ = 0;
+  std::size_t settled_by_bound_ = 0;
 };
 
 }  // namespace
@@ -217,6 +284,8 @@ IncrementalGtpResult SolveIncrementalGtp(
 
   const bool has_deadline =
       options.deadline != std::chrono::steady_clock::time_point{};
+  // Feasibility rejects of the current round, re-pushed after selection.
+  std::vector<core::CelfCandidate> rejected;
 
   for (std::size_t round = 1; result.deployment.size() < budget; ++round) {
     obs::ScopedSpan round_span(obs::TracePhase::kGtpRound, round);
@@ -241,6 +310,8 @@ IncrementalGtpResult SolveIncrementalGtp(
       result.cancelled = true;  // injected cancellation
       break;
     }
+    const std::size_t undeployed = num_vertices - result.deployment.size();
+    const std::size_t calls_before_round = result.oracle_calls;
     core::CelfCandidate chosen{-1.0, kInvalidVertex, 0};
     if (options.feasibility_aware && options.max_middleboxes > 0 &&
         !state.AllServed()) {
@@ -253,11 +324,10 @@ IncrementalGtpResult SolveIncrementalGtp(
       // remain upper bounds for later rounds by submodularity.
       const std::size_t remaining = budget - result.deployment.size() - 1;
       probe.BeginRound(result.deployment);
-      std::vector<core::CelfCandidate> rejected;
+      rejected.clear();
       while (true) {
-        const core::CelfCandidate candidate =
-            celf.PopBest(round, result.deployment, gain_oracle,
-                         &result.oracle_calls, &result.reevals_saved);
+        const core::CelfCandidate candidate = celf.PopBest(
+            round, result.deployment, gain_oracle, &result.oracle_calls);
         if (candidate.vertex == kInvalidVertex) break;  // queue ran dry
         if (probe.Coverable(candidate.vertex, remaining)) {
           chosen = candidate;
@@ -273,9 +343,16 @@ IncrementalGtpResult SolveIncrementalGtp(
       }
     } else {
       chosen = celf.PopBest(round, result.deployment, gain_oracle,
-                            &result.oracle_calls, &result.reevals_saved);
+                            &result.oracle_calls);
     }
     if (chosen.vertex == kInvalidVertex) break;  // nothing left to deploy
+    // A full scan would have evaluated every undeployed vertex once this
+    // round; CELF evaluated each at most once (a re-evaluated entry is
+    // fresh for the rest of the round), however many candidates the
+    // feasibility filter popped.
+    const std::size_t evaluated = result.oracle_calls - calls_before_round;
+    TDMD_DCHECK(evaluated <= undeployed);
+    result.reevals_saved += undeployed - evaluated;
     if (chosen.gain <= 0.0 && state.AllServed()) {
       break;  // additional middleboxes cannot reduce bandwidth
     }
@@ -289,6 +366,8 @@ IncrementalGtpResult SolveIncrementalGtp(
 
   result.bandwidth = state.bandwidth();
   result.feasible = state.AllServed();
+  result.coverability_probes = probe.probes();
+  result.probes_settled_by_bound = probe.settled_by_bound();
   // Optimality certificate: d(P) plus the top-`budget` residual stale
   // gains.  The heap entries left behind (including re-pushed feasibility
   // rejects) all upper-bound their vertices' marginals wrt P, so for any

@@ -82,7 +82,17 @@ struct IncrementalGtpResult {
   std::size_t oracle_calls = 0;
   /// Gain evaluations a plain full-scan greedy would have performed but
   /// CELF skipped — the "heap re-evaluations saved" engine counter.
+  /// Counted once per selection round: the undeployed vertices at the
+  /// start of the round minus that round's evaluations.  So
+  /// oracle_calls + reevals_saved equals |V| (the priming) plus a
+  /// full-scan greedy's oracle_calls over the same rounds.
   std::size_t reevals_saved = 0;
+  /// Feasibility-aware rounds only: coverability probes run, and how many
+  /// of them the disjoint-path packing bound rejected without finishing
+  /// (or starting) the greedy cover.  Solver-local diagnostics; not
+  /// engine counters.
+  std::size_t coverability_probes = 0;
+  std::size_t probes_settled_by_bound = 0;
   /// Certified upper bound on d(S) for any deployment S with |S| <= the
   /// effective budget: d(P) plus the CELF heap's residual top-k stale-gain
   /// sum (CelfQueue::ResidualUpperBound).  Valid by submodularity even for

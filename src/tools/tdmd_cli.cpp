@@ -91,10 +91,12 @@
 //       Prints instance statistics.
 #include <algorithm>
 #include <chrono>
+#include <cstdint>
 #include <cstdio>
 #include <fstream>
 #include <functional>
 #include <iostream>
+#include <limits>
 #include <map>
 #include <optional>
 #include <sstream>
@@ -134,6 +136,23 @@ namespace {
 [[noreturn]] void Die(const std::string& message) {
   std::fprintf(stderr, "tdmd_cli: %s\n", message.c_str());
   std::exit(1);
+}
+
+constexpr std::int64_t kNoUpperBound = std::numeric_limits<std::int64_t>::max();
+/// Cap on the flags that start one OS thread per unit (--threads,
+/// --shards).
+constexpr std::int64_t kMaxThreadsFlag = 256;
+
+/// The value of count flag `name`; dies with a `tdmd_cli:` line when it
+/// lies outside [lo, hi] (a negative count would wrap through the
+/// std::size_t casts that consume it).
+std::size_t CountFlag(const ArgParser& parser, const std::string& name,
+                      std::int64_t lo, std::int64_t hi = kNoUpperBound) {
+  std::string error;
+  const std::optional<std::int64_t> value =
+      parser.BoundedInt(name, lo, hi, &error);
+  if (!value) Die(error);
+  return static_cast<std::size_t>(*value);
 }
 
 int Generate(int argc, char** argv) {
@@ -213,13 +232,14 @@ int Solve(int argc, char** argv) {
   const auto* algorithm = parser.AddString(
       "algorithm", "gtp",
       "dp | hat | gtp | gtp-derive | best-effort | random");
-  const auto* k = parser.AddInt("k", 8, "middlebox budget");
+  parser.AddInt("k", 8, "middlebox budget");
   const auto* tree_path = parser.AddString(
       "tree", "", "tree topology file (required for dp/hat)");
   const auto* out =
       parser.AddString("out", "", "write the deployment plan here");
   const auto* seed = parser.AddInt("seed", 1, "rng seed (random)");
   parser.Parse(argc, argv);
+  const std::size_t budget = CountFlag(parser, "k", 0);
 
   auto instance = io::ReadInstanceFile(*instance_path);
   if (!instance.ok()) Die(instance.error);
@@ -235,12 +255,12 @@ int Solve(int argc, char** argv) {
     timer.Restart();
     result = *algorithm == "dp"
                  ? core::DpTree(*instance.value, *tree.value,
-                                static_cast<std::size_t>(*k))
+                                budget)
                  : core::Hat(*instance.value, *tree.value,
-                             static_cast<std::size_t>(*k));
+                             budget);
   } else if (*algorithm == "gtp") {
     core::GtpOptions options;
-    options.max_middleboxes = static_cast<std::size_t>(*k);
+    options.max_middleboxes = budget;
     options.feasibility_aware = true;
     timer.Restart();
     result = core::Gtp(*instance.value, options);
@@ -250,11 +270,11 @@ int Solve(int argc, char** argv) {
   } else if (*algorithm == "best-effort") {
     timer.Restart();
     result = core::BestEffort(*instance.value,
-                              static_cast<std::size_t>(*k));
+                              budget);
   } else if (*algorithm == "random") {
     Rng rng(static_cast<std::uint64_t>(*seed));
     core::RandomPlacementOptions options;
-    options.k = static_cast<std::size_t>(*k);
+    options.k = budget;
     timer.Restart();
     result = core::RandomPlacement(*instance.value, options, rng);
   } else {
@@ -290,8 +310,9 @@ int Simulate(int argc, char** argv) {
       parser.AddString("instance", "instance.tdmd", "instance file");
   const auto* plan_path =
       parser.AddString("plan", "plan.tdmd", "deployment file");
-  const auto* top = parser.AddInt("top", 10, "show the N busiest links");
+  parser.AddInt("top", 10, "show the N busiest links");
   parser.Parse(argc, argv);
+  const std::size_t top = CountFlag(parser, "top", 0);
 
   auto instance = io::ReadInstanceFile(*instance_path);
   if (!instance.ok()) Die(instance.error);
@@ -316,8 +337,7 @@ int Simulate(int argc, char** argv) {
   std::sort(loads.rbegin(), loads.rend());
   std::printf("\nbusiest links:\n");
   for (std::size_t i = 0;
-       i < std::min<std::size_t>(loads.size(),
-                                 static_cast<std::size_t>(*top));
+       i < std::min(loads.size(), top);
        ++i) {
     const graph::Arc& a = instance.value->network().arc(loads[i].second);
     std::printf("  %d -> %d : %.3f\n", a.tail, a.head, loads[i].first);
@@ -389,7 +409,8 @@ struct ServeFlags {
   const std::int64_t* shards = parser.AddInt(
       "shards", 1,
       "partition the topology across N engine shards behind a "
-      "budget-allocating coordinator (1 = classic single engine)");
+      "budget-allocating coordinator (1 = classic single engine; at "
+      "most 256)");
   const double* resolve_churn_fraction = parser.AddDouble(
       "resolve-churn-fraction", 0.0,
       "defer full re-solves until pending churn exceeds this fraction of "
@@ -443,7 +464,7 @@ struct ServeFlags {
   const bool* async = parser.AddBool(
       "async", false, "run re-solves on a worker pool instead of inline");
   const std::int64_t* threads =
-      parser.AddInt("threads", 2, "worker threads (with --async)");
+      parser.AddInt("threads", 2, "worker threads (with --async; 1-256)");
   const std::int64_t* deadline_ms = parser.AddInt(
       "deadline-ms", 0,
       "per-attempt re-solve deadline in milliseconds; an expired attempt "
@@ -477,6 +498,34 @@ struct ServeFlags {
   const std::int64_t* kill_shard = parser.AddInt(
       "kill-shard", 0, "which shard --kill-shard-at crashes");
 };
+
+/// Dies on a count flag outside its range, before any of them is cast to
+/// std::size_t.
+void CheckCountFlags(const ServeFlags& f) {
+  struct Range {
+    const char* name;
+    std::int64_t lo;
+    std::int64_t hi;
+  };
+  for (const Range& range : {
+           Range{"k", 1, kNoUpperBound},
+           Range{"epochs", 0, kNoUpperBound},
+           Range{"arrivals", 0, kNoUpperBound},
+           Range{"shards", 1, kMaxThreadsFlag},
+           Range{"threads", 1, kMaxThreadsFlag},
+           Range{"fault-delay-ms", 0, kNoUpperBound},
+           Range{"checkpoint-every", 0, kNoUpperBound},
+           // The profiler arms a 1e6 / hz microsecond timer.
+           Range{"prof-hz", 1, 1000000},
+           Range{"deadline-ms", 0, kNoUpperBound},
+           Range{"queue-depth", 0, kNoUpperBound},
+           Range{"backpressure-deadline-ms", 0, kNoUpperBound},
+           Range{"kill-shard-at", 0, kNoUpperBound},
+           Range{"kill-shard", 0, kNoUpperBound},
+       }) {
+    CountFlag(f.parser, range.name, range.lo, range.hi);
+  }
+}
 
 /// Dies on a non-default flag that the chosen serve path would ignore.
 void RejectIgnoredFlags(const ServeFlags& f) {
@@ -990,7 +1039,7 @@ int ServeTraceEngine(const core::Instance& inst, const ServeFlags& f) {
 
 int ServeTrace(int argc, char** argv) {
   const ServeFlags flags(argc, argv);
-  if (*flags.prof_hz <= 0) Die("--prof-hz must be positive");
+  CheckCountFlags(flags);
   RejectIgnoredFlags(flags);
 
   auto instance = io::ReadInstanceFile(*flags.instance);

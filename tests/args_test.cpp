@@ -2,6 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <limits>
+#include <optional>
+#include <string>
 #include <vector>
 
 namespace tdmd {
@@ -110,6 +114,32 @@ TEST(ArgParserTest, UsageListsFlags) {
   EXPECT_NE(usage.find("--k"), std::string::npos);
   EXPECT_NE(usage.find("the budget"), std::string::npos);
   EXPECT_NE(usage.find("default: 8"), std::string::npos);
+}
+
+TEST(ArgParserTest, BoundedIntChecksTheRange) {
+  ArgParser parser("prog", "test");
+  parser.AddInt("k", 8, "budget");
+  parser.AddInt("epochs", 20, "epochs");
+  parser.AddInt("threads", 2, "workers");
+  auto argv = Argv({"--k=-1", "--threads=100000"});
+  parser.Parse(static_cast<int>(argv.size()), argv.data());
+  const std::int64_t unbounded = std::numeric_limits<std::int64_t>::max();
+  std::string error;
+  EXPECT_EQ(parser.BoundedInt("epochs", 0, unbounded, &error), 20);
+  EXPECT_EQ(parser.BoundedInt("epochs", 20, 20, &error), 20);
+  EXPECT_TRUE(error.empty());
+  EXPECT_EQ(parser.BoundedInt("k", 1, unbounded, &error), std::nullopt);
+  EXPECT_EQ(error, "--k=-1 is below its minimum 1");
+  EXPECT_EQ(parser.BoundedInt("threads", 1, 256, &error), std::nullopt);
+  EXPECT_EQ(error, "--threads=100000 is outside [1, 256]");
+}
+
+TEST(ArgParserDeathTest, BoundedIntOnAnUnknownFlagExits) {
+  ArgParser parser("prog", "test");
+  parser.AddDouble("lambda", 0.5, "ratio");
+  std::string error;
+  EXPECT_EXIT(parser.BoundedInt("lambda", 0, 1, &error),
+              testing::ExitedWithCode(2), "non-int flag --lambda");
 }
 
 TEST(ArgParserDeathTest, UnknownFlagExits) {

@@ -2,7 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
+#include <string>
 #include <utility>
 #include <vector>
 
@@ -46,6 +48,25 @@ traffic::FlowSet RandomGeneralFlows(const graph::Digraph& network,
   return flows;
 }
 
+/// Flows from random sources to a few random sinks.  Their shortest paths
+/// fan into several destinations, so a round's unserved classes include
+/// vertex-disjoint ones and the feasibility probe's packing bound (see
+/// incremental_gtp.cpp) can fire at any remaining budget, not only at 0.
+traffic::FlowSet RandomMultiSinkFlows(const graph::Digraph& network,
+                                      const std::vector<VertexId>& sinks,
+                                      std::size_t count, Rng& rng) {
+  traffic::FlowSet flows;
+  const auto n = static_cast<std::uint64_t>(network.num_vertices());
+  while (flows.size() < count) {
+    const VertexId dst = sinks[static_cast<std::size_t>(
+        rng.NextBounded(static_cast<std::uint64_t>(sinks.size())))];
+    const auto src = static_cast<VertexId>(rng.NextBounded(n));
+    if (src == dst) continue;
+    flows.push_back(MakeFlow(network, src, dst, rng.NextInt(1, 12)));
+  }
+  return flows;
+}
+
 traffic::FlowSet RandomTreeFlows(const graph::Tree& tree,
                                  std::size_t count, Rng& rng) {
   traffic::FlowSet flows;
@@ -83,6 +104,12 @@ void ExpectEquivalent(const FlowCoverageIndex& index,
       << label << ": greedy selection order diverged";
   EXPECT_DOUBLE_EQ(incremental.bandwidth, batch.bandwidth) << label;
   EXPECT_EQ(incremental.feasible, batch.feasible) << label;
+  // Every evaluation CELF skipped is one the full scan made: priming plus
+  // re-evaluations plus savings is exactly |V| plus the full-scan count.
+  EXPECT_EQ(incremental.oracle_calls + incremental.reevals_saved,
+            static_cast<std::size_t>(instance.num_vertices()) +
+                batch.oracle_calls)
+      << label;
 
   // The lazy mode of batch GTP shares CelfQueue with the incremental
   // solver; close the triangle.
@@ -159,9 +186,39 @@ TEST(IncrementalGtpPropertyTest, MatchesBatchAfterChurn) {
   }
 }
 
-// The engine's re-solve mode: feasibility-aware selection while flows are
-// unserved, CELF afterwards.  Must match batch GTP's feasibility_aware
-// mode (the solver class of engine_churn's from-scratch baseline) exactly.
+/// The engine's re-solve mode against batch GTP's feasibility_aware mode
+/// (the solver class of engine_churn's from-scratch baseline): identical
+/// deployment order, b(P) and feasibility, and the per-round
+/// reevals_saved accounting closes against the full scan's oracle calls.
+IncrementalGtpResult ExpectFeasibilityAwareEquivalent(
+    const FlowCoverageIndex& index, const core::Instance& instance,
+    std::size_t k, const std::string& label) {
+  IncrementalGtpOptions incremental_options;
+  incremental_options.max_middleboxes = k;
+  incremental_options.feasibility_aware = true;
+  const IncrementalGtpResult incremental =
+      SolveIncrementalGtp(index, incremental_options);
+
+  core::GtpOptions batch_options;
+  batch_options.max_middleboxes = k;
+  batch_options.feasibility_aware = true;
+  const core::PlacementResult batch = Gtp(instance, batch_options);
+
+  EXPECT_EQ(incremental.deployment.vertices(), batch.deployment.vertices())
+      << label;
+  EXPECT_DOUBLE_EQ(incremental.bandwidth, batch.bandwidth) << label;
+  EXPECT_EQ(incremental.feasible, batch.feasible) << label;
+  EXPECT_EQ(incremental.oracle_calls + incremental.reevals_saved,
+            static_cast<std::size_t>(instance.num_vertices()) +
+                batch.oracle_calls)
+      << label;
+  EXPECT_LE(incremental.probes_settled_by_bound,
+            incremental.coverability_probes)
+      << label;
+  return incremental;
+}
+
+// Feasibility-aware selection while flows are unserved, CELF afterwards.
 TEST(IncrementalGtpPropertyTest, FeasibilityAwareMatchesBatch) {
   Rng rng(911);
   for (int trial = 0; trial < 60; ++trial) {
@@ -174,26 +231,65 @@ TEST(IncrementalGtpPropertyTest, FeasibilityAwareMatchesBatch) {
 
     FlowCoverageIndex index(network, lambda);
     for (const traffic::Flow& flow : flows) index.AddFlow(flow);
-
-    IncrementalGtpOptions incremental_options;
-    incremental_options.max_middleboxes = k;
-    incremental_options.feasibility_aware = true;
-    const IncrementalGtpResult incremental =
-        SolveIncrementalGtp(index, incremental_options);
-
-    core::GtpOptions batch_options;
-    batch_options.max_middleboxes = k;
-    batch_options.feasibility_aware = true;
     const core::Instance instance(std::move(network), flows, lambda);
-    const core::PlacementResult batch = Gtp(instance, batch_options);
-
-    EXPECT_EQ(incremental.deployment.vertices(), batch.deployment.vertices())
-        << "feasibility-aware trial " << trial;
-    EXPECT_DOUBLE_EQ(incremental.bandwidth, batch.bandwidth)
-        << "feasibility-aware trial " << trial;
-    EXPECT_EQ(incremental.feasible, batch.feasible)
-        << "feasibility-aware trial " << trial;
+    ExpectFeasibilityAwareEquivalent(
+        index, instance, k,
+        "feasibility-aware trial " + std::to_string(trial));
   }
+}
+
+// Every flow above ends at vertex 0, so a round's packing holds at most
+// one class and the probe's bound can only fire at remaining budget 0.
+// Several sinks give disjoint classes, and budgets just above the sink
+// count put the bound right at the edge of feasibility, where an
+// off-by-one in either bound flips verdicts.  Odd trials solve a churned
+// index (departures scattered over recycled slots, then a second wave).
+TEST(IncrementalGtpPropertyTest, FeasibilityAwareMultiSinkMatchesBatch) {
+  Rng rng(1601);
+  std::size_t probes = 0;
+  std::size_t settled = 0;
+  for (int trial = 0; trial < 200; ++trial) {
+    const auto n = static_cast<VertexId>(10 + trial % 21);
+    graph::Digraph network = topology::Waxman(n, 0.5, 0.4, rng);
+    std::vector<VertexId> sinks;
+    const std::size_t num_sinks = 2 + static_cast<std::size_t>(trial) % 5;
+    while (sinks.size() < num_sinks) {
+      const auto v = static_cast<VertexId>(
+          rng.NextBounded(static_cast<std::uint64_t>(n)));
+      if (std::find(sinks.begin(), sinks.end(), v) == sinks.end()) {
+        sinks.push_back(v);
+      }
+    }
+    const double lambda = kLambdas[trial % 6];
+    const std::size_t k = num_sinks + static_cast<std::size_t>(trial / 5) % 4;
+    const std::size_t flow_count =
+        8 + (static_cast<std::size_t>(trial) * 7) % 33;
+
+    FlowCoverageIndex index(network, lambda);
+    std::vector<FlowTicket> tickets;
+    for (const traffic::Flow& flow :
+         RandomMultiSinkFlows(network, sinks, flow_count, rng)) {
+      tickets.push_back(index.AddFlow(flow));
+    }
+    if (trial % 2 == 1) {
+      for (std::size_t i = 0; i < tickets.size(); i += 3) {
+        ASSERT_TRUE(index.RemoveFlow(tickets[i]));
+      }
+      for (const traffic::Flow& flow :
+           RandomMultiSinkFlows(network, sinks, flow_count / 2, rng)) {
+        index.AddFlow(flow);
+      }
+    }
+    const core::Instance instance = index.BuildInstance();
+    const IncrementalGtpResult incremental = ExpectFeasibilityAwareEquivalent(
+        index, instance, k, "multi-sink trial " + std::to_string(trial));
+    probes += incremental.coverability_probes;
+    settled += incremental.probes_settled_by_bound;
+  }
+  // The bound must actually settle rejects on these instances, or the
+  // equivalence above would not exercise it.
+  EXPECT_GT(settled, 0u);
+  EXPECT_GT(probes, settled);
 }
 
 TEST(IncrementalGtpTest, EmptyIndexIsTriviallyFeasible) {
